@@ -92,7 +92,9 @@ class DecisionTreeAgent(BaseAgent):
         )
         cache = getattr(lead, "_batch_forest_cache", None)
         if cache is None or cache[0] != key:
-            forest = CompiledTreeForest([agent.compiled_policy() for agent in agents])
+            forest = CompiledTreeForest.from_compiled(
+                [agent.compiled_policy() for agent in agents]
+            )
             lookups = np.stack(
                 [agent._env_action_lookup(env) for agent, env in zip(agents, environments)]
             )

@@ -15,8 +15,8 @@ The types below are contiguous, dtype-declared structs-of-arrays:
 * :class:`InfoBatch` — the per-step diagnostics of a batched environment
   step, one typed column per scalar info key of the serial environment,
 * :class:`PolicyRequestBatch` / :class:`PolicyResponseBatch` — the columnar
-  serving front door (arrays in, arrays out), with cached building-id
-  grouping for argsort-based per-policy batching.
+  serving front door (arrays in, arrays out), with a cached building-id
+  grouping for routing rows to shards.
 
 Every batch validates its columns on construction (dtype, dimensionality,
 shared row count), supports row ``take``/``slice`` and ``concat``, and
@@ -538,9 +538,9 @@ class InfoBatch(ColumnarBatch):
 class PolicyRequestBatch(ColumnarBatch):
     """One serving batch: a building/policy id column plus observation rows.
 
-    The per-policy grouping needed to route mixed-building batches is an
-    ``argsort`` over the integer-coded id column (:meth:`grouping`), computed
-    once and cached — no per-request python objects, no dict bucketing.
+    The server answers a mixed-building batch straight from the id column.
+    :meth:`grouping` (integer codes over the distinct ids, computed once and
+    cached) is what the sharded front door routes rows to shards by.
     """
 
     policy_ids: NDArray[Any]

@@ -310,7 +310,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     observations = _synthetic_observations(rng, args.requests, dim)
     # Interleave buildings round-robin so every batch mixes policies — the
-    # per-policy grouping inside the server is what keeps this vectorised.
+    # server's single forest descent is what keeps this vectorised.
     assigned = np.array([policy_ids[i % len(policy_ids)] for i in range(args.requests)])
 
     served = 0

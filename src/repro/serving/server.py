@@ -8,12 +8,15 @@ entry, and answers request batches that may mix any number of buildings.
 The native endpoint is columnar: :meth:`PolicyServer.serve_columnar` takes a
 :class:`~repro.data.PolicyRequestBatch` (a building-id column plus a
 ``(B, F)`` observation matrix) and returns a
-:class:`~repro.data.PolicyResponseBatch` — arrays in, arrays out.  Rows are
-routed to their policies with one stable ``argsort`` over the integer-coded
-id column, each distinct tree runs one vectorised ``predict_batch`` over a
-contiguous slice of the sorted observations (zero-copy), and results return
-to request order with an inverse-permutation scatter.  No per-request python
-objects exist anywhere on this path; the legacy object API
+:class:`~repro.data.PolicyResponseBatch` — arrays in, arrays out.  The server
+interns every policy id it has seen into an integer handle with one dict, so
+a batch's id column becomes a handle column in one lookup pass.  Each handle
+names a tree in one of two :class:`~repro.serving.compiled.CompiledTreeForest`
+instances: the packed arena's, which is the mmap itself, or the in-memory
+forest of registered and JSON-compiled policies.  Every row then descends its
+own tree in one vectorised pass per forest present in the batch, with no
+grouping, sorting, per-policy loop or scatter.  No per-request python objects
+exist anywhere on this path; the legacy object API
 (:meth:`PolicyServer.serve` over :class:`PolicyRequest`) is a thin adapter
 on top of it.
 
@@ -28,14 +31,22 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.core.tree_policy import TreePolicy
 from repro.data import PolicyRequestBatch, PolicyResponseBatch
-from repro.serving.compiled import CompiledTreePolicy
-from repro.store import ArenaLike, PolicyArena, PolicyStore, resolve_arena, resolve_store
+from repro.serving.compiled import CompiledTreeForest, CompiledTreePolicy
+from repro.store import (
+    ArenaIntegrityError,
+    ArenaLike,
+    PolicyArena,
+    PolicyStore,
+    resolve_arena,
+    resolve_store,
+)
 
 
 @dataclass(frozen=True)
@@ -97,12 +108,11 @@ class PolicyServer:
 
     Policy resolution is **arena-first**: when the store carries a packed
     arena (:mod:`repro.store.arena`) — auto-detected, or forced/pointed at
-    via the ``arena`` argument — a requested policy is answered by a
-    zero-copy mmap handle in O(1), no JSON parse and no compile.  The LRU
-    only exists for policies *not* in the arena (the JSON path); arena
-    handles are thin views into the shared mapping, so caching them is free
-    and evicting them would save nothing — eviction of arena-backed entries
-    is a structural no-op.
+    via the ``arena`` argument — a requested policy is answered from the
+    arena's zero-copy mmap forest, with no JSON parse and no compile.
+    Registered policies shadow the arena.  The LRU only exists for policies
+    *not* in the arena (the JSON path), so arena policies can never be
+    evicted.
 
     ``arena`` accepts anything :func:`repro.store.resolve_arena` does:
     ``None`` (auto-detect ``<store>/policies.arena``), ``False`` (disable),
@@ -129,13 +139,28 @@ class PolicyServer:
         #: passed in by the caller is left open.
         self._owns_arena = not isinstance(arena, PolicyArena)
         self.arena, self.arena_error = resolve_arena(arena, self.store)
+        #: Policy id -> handle.  Handle ``h`` below the arena's policy count is
+        #: arena tree ``h``; the rest are trees of the in-memory forest,
+        #: offset by the arena's policy count.
+        self._handles: Dict[str, int] = {}
+        self._arena_forest: Optional[CompiledTreeForest] = None
+        self._arena_ids: List[str] = []
+        #: The in-memory forest holds every registration and every LRU entry
+        #: (:meth:`_members`); it is rebuilt, and its handles re-interned,
+        #: before the next batch after either set changes.
+        self._memory_ids: List[str] = []
+        self._memory_forest: Optional[CompiledTreeForest] = None
+        self._memory_stale = False
         if self.arena is not None:
             self.stats.arena_policies = self.arena.policy_count
             self.stats.arena_bytes_mapped = self.arena.nbytes_mapped
+            self._arena_forest = self.arena.forest()
+            self._arena_ids = self.arena.policy_ids()
 
     def close(self) -> None:
         """Release the arena mapping if this server opened it (idempotent)."""
         if self.arena is not None and self._owns_arena:
+            self._arena_forest = None
             self.arena.close()
 
     # ------------------------------------------------------------ resolution
@@ -149,6 +174,7 @@ class PolicyServer:
             else CompiledTreePolicy.from_policy(policy)
         )
         self._registered[policy_id] = compiled
+        self._memory_stale = True
         return compiled
 
     def policy_ids(self) -> List[str]:
@@ -190,30 +216,89 @@ class PolicyServer:
             self.stats.cache_hits += 1
             return cached
         self.stats.cache_misses += 1
-        if self.store is None:
-            raise UnknownPolicyError(policy_id)
-        stored = self.store.find(policy_id)
+        compiled = self._compile_stored(policy_id)
+        self.stats.compile_count += 1
+        self._cache_insert(policy_id, compiled)
+        return compiled
+
+    def _compile_stored(self, policy_id: str) -> CompiledTreePolicy:
+        """Load a policy's JSON artifact from the store and compile it."""
+        stored = self.store.find(policy_id) if self.store is not None else None
         if stored is None:
             raise UnknownPolicyError(policy_id)
-        compiled = CompiledTreePolicy.from_policy(stored.policy)
-        self.stats.compile_count += 1
+        return CompiledTreePolicy.from_policy(stored.policy)
+
+    def _cache_insert(self, policy_id: str, compiled: CompiledTreePolicy) -> None:
+        """Add a JSON-compiled policy to the LRU, evicting the oldest past capacity."""
         self._cache[policy_id] = compiled
+        self._memory_stale = True
         if len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
             self.stats.evictions += 1
-        return compiled
+
+    # ---------------------------------------------------------------- handles
+    def _members(self) -> Dict[str, CompiledTreePolicy]:
+        """The in-memory forest's trees in order: the LRU, then registrations."""
+        members = dict(self._cache)
+        members.update(self._registered)  # a registration shadows its LRU entry
+        return members
+
+    def _refresh_memory(self) -> None:
+        """Rebuild the in-memory forest from the registrations and the LRU."""
+        if not self._memory_stale:
+            return
+        for policy_id in self._memory_ids:
+            del self._handles[policy_id]
+        members = self._members()
+        self._memory_ids = list(members)
+        self._memory_forest = (
+            CompiledTreeForest.from_compiled(list(members.values())) if members else None
+        )
+        first = len(self._arena_ids)
+        self._handles.update(zip(self._memory_ids, range(first, first + len(members))))
+        self._memory_stale = False
+
+    def _lookup(
+        self, policy_ids: NDArray[Any]
+    ) -> Tuple[NDArray[Any], Dict[str, CompiledTreePolicy]]:
+        """Each row's handle, plus the JSON policies first compiled for this batch.
+
+        Ids seen before cost one dict lookup each.  An unseen arena id is
+        interned on the spot.  An unseen JSON-only id is loaded and compiled
+        but not yet cached: it gets a provisional handle just past the
+        in-memory forest, and enters the LRU only once the batch succeeds.
+        Raises :class:`UnknownPolicyError` with the stats and the LRU
+        unchanged.
+        """
+        self._refresh_memory()
+        ids = policy_ids.tolist()
+        table = self._handles
+        try:
+            return np.fromiter(map(table.__getitem__, ids), dtype=np.int64, count=len(ids)), {}
+        except KeyError:
+            pass
+        staged: Dict[str, CompiledTreePolicy] = {}
+        for policy_id in sorted(set(ids).difference(table)):
+            row = self.arena.row(policy_id) if self.arena is not None else None
+            if row is not None:
+                table[policy_id] = row
+            else:
+                staged[policy_id] = self._compile_stored(policy_id)
+        first = len(self._arena_ids) + len(self._memory_ids)
+        lookup = dict(table)
+        lookup.update(zip(staged, range(first, first + len(staged))))
+        return np.fromiter(map(lookup.__getitem__, ids), dtype=np.int64, count=len(ids)), staged
 
     # --------------------------------------------------------------- serving
     def serve_columnar(self, batch: PolicyRequestBatch) -> PolicyResponseBatch:
         """Answer one columnar batch of (possibly mixed-building) requests.
 
-        The whole path is array-native: rows are routed to their policies by
-        a stable ``argsort`` over the batch's integer policy codes, each
-        distinct tree sees one contiguous slice of the sorted observation
-        matrix (``predict_batch`` consumes it zero-copy), and the per-policy
-        results are scattered back to request order through the inverse
-        permutation.  A single-policy batch — the overwhelmingly common case
-        for a per-building feed — skips the permutation entirely.
+        The id column becomes a handle column through the intern table, and
+        each forest present in the batch — the arena's, the in-memory one, or
+        both — runs one descent over its rows.  Every policy is resolved and
+        every row's input width checked before any counter moves, so a batch
+        that raises (:class:`UnknownPolicyError`, or ``ValueError`` naming
+        the batch's shape) leaves :attr:`stats` and the LRU untouched.
         """
         rows = len(batch)
         if rows == 0:
@@ -223,41 +308,44 @@ class PolicyServer:
                 heating_setpoints=np.empty(0, dtype=np.int64),
                 cooling_setpoints=np.empty(0, dtype=np.int64),
             )
-        codes, unique_ids = batch.grouping()
+        handles, staged = self._lookup(batch.policy_ids)
+        memory_ids, memory = self._memory_ids, self._memory_forest
+        if staged:  # the forest this batch descends: the current one plus its loads
+            members = {**self._members(), **staged}
+            memory_ids = list(members)
+            memory = CompiledTreeForest.from_compiled(list(members.values()))
+        counts = np.bincount(handles)
+        present = np.flatnonzero(counts)
+        first = len(self._arena_ids)
+        split = int(np.searchsorted(present, first))
+        # (forest, its first handle) for each forest this batch reaches.
+        parts: List[Tuple[CompiledTreeForest, int]] = []
         observations = batch.observations
-        tally = self.stats.per_policy_requests
+        for forest, offset, trees in (
+            (self._arena_forest, 0, present[:split]),
+            (memory, first, present[split:]),
+        ):
+            if trees.size == 0:
+                continue
+            if forest is None:
+                raise ArenaIntegrityError("the server's arena is closed")
+            observations = forest.check_inputs(trees - offset, observations)
+            parts.append((forest, offset))
 
-        if len(unique_ids) == 1:
-            policy_id = str(unique_ids[0])
-            compiled = self.resolve(policy_id)
-            actions = compiled.predict_batch(observations)
-            pairs = compiled.action_pairs[actions]
-            tally[policy_id] = tally.get(policy_id, 0) + rows
+        if len(parts) == 1:
+            forest, offset = parts[0]
+            actions, pairs = forest.predict(handles - offset, observations)
         else:
-            order = np.argsort(codes, kind="stable")
-            sorted_observations = observations[order]
-            # Group boundaries in the sorted batch: one contiguous slice per
-            # distinct policy (codes index unique_ids, which is sorted).
-            starts = np.searchsorted(codes[order], np.arange(len(unique_ids)))
-            stops = np.append(starts[1:], rows)
-            sorted_actions = np.empty(rows, dtype=np.int64)
-            sorted_pairs = np.empty((rows, 2), dtype=np.int64)
-            for group, policy_id in enumerate(unique_ids):
-                lo, hi = int(starts[group]), int(stops[group])
-                compiled = self.resolve(str(policy_id))
-                group_actions = compiled.predict_batch(sorted_observations[lo:hi])
-                sorted_actions[lo:hi] = group_actions
-                sorted_pairs[lo:hi] = compiled.action_pairs[group_actions]
-                tally[str(policy_id)] = tally.get(str(policy_id), 0) + (hi - lo)
-            # Inverse-permutation scatter restores request order without any
-            # intermediate per-policy python lists.
             actions = np.empty(rows, dtype=np.int64)
             pairs = np.empty((rows, 2), dtype=np.int64)
-            actions[order] = sorted_actions
-            pairs[order] = sorted_pairs
+            in_memory = handles >= first
+            for (forest, offset), picked in zip(parts, (~in_memory, in_memory)):
+                index = np.flatnonzero(picked)
+                actions[index], pairs[index] = forest.predict(
+                    handles[index] - offset, observations[index]
+                )
 
-        self.stats.requests += rows
-        self.stats.batches += 1
+        self._count(rows, present, counts[present], staged, memory_ids)
         return PolicyResponseBatch(
             policy_ids=batch.policy_ids,
             action_indices=actions,
@@ -265,13 +353,47 @@ class PolicyServer:
             cooling_setpoints=pairs[:, 1],
         )
 
+    def _count(
+        self,
+        rows: int,
+        present: NDArray[Any],
+        counts: NDArray[Any],
+        staged: Dict[str, CompiledTreePolicy],
+        memory_ids: List[str],
+    ) -> None:
+        """Credit a served batch to the stats and the LRU.
+
+        Per distinct policy: an arena hit for an arena policy, a cache hit
+        for an LRU entry, and a miss plus a compile for a policy this batch
+        loaded.  The loaded ones enter the LRU last, in sorted id order.
+        """
+        stats = self.stats
+        tally = stats.per_policy_requests
+        first = len(self._arena_ids)
+        for handle, count in zip(present.tolist(), counts.tolist()):
+            if handle < first:
+                policy_id = self._arena_ids[handle]
+                stats.arena_hits += 1
+            else:
+                policy_id = memory_ids[handle - first]
+                if policy_id in self._cache and policy_id not in self._registered:
+                    stats.cache_hits += 1
+                    self._cache.move_to_end(policy_id)
+            tally[policy_id] = tally.get(policy_id, 0) + count
+        for policy_id, compiled in staged.items():
+            stats.cache_misses += 1
+            stats.compile_count += 1
+            self._cache_insert(policy_id, compiled)
+        stats.requests += rows
+        stats.batches += 1
+
     def serve(self, requests: Sequence[PolicyRequest]) -> List[PolicyResponse]:
         """Answer one batch of legacy per-request objects.
 
         A thin adapter over :meth:`serve_columnar`: requests are packed into
         one :class:`~repro.data.PolicyRequestBatch`, served on the columnar
         path, and unpacked back into :class:`PolicyResponse` objects in
-        request order.  Semantics (grouping, stats, errors) are identical.
+        request order.  Semantics (stats, errors) are identical.
         """
         if not requests:
             return []

@@ -1,12 +1,12 @@
 """Multi-process sharded policy serving over the shared-memory transport.
 
-One :class:`~repro.serving.server.PolicyServer` saturates one core: the tree
-kernel, the grouping argsort and the response scatter all run on a single
-Python thread.  :class:`ShardedPolicyServer` is the multi-core scale-out
-layer — it spawns N worker processes, each owning a full ``PolicyServer``
-shard, and routes request rows to shards by a **stable hash of the policy
-id** so every compiled policy lives in exactly one worker's LRU (no
-duplicated compilation, no cross-shard cache churn).
+One :class:`~repro.serving.server.PolicyServer` saturates one core: the id
+lookup and the forest descent run on a single Python thread.
+:class:`ShardedPolicyServer` is the multi-core scale-out layer — it spawns N
+worker processes, each owning a full ``PolicyServer`` shard, and routes
+request rows to shards by a **stable hash of the policy id** so every
+compiled policy lives in exactly one worker's LRU (no duplicated
+compilation, no cross-shard cache churn).
 
 The process boundary is crossed with zero copies of array payloads:
 requests and responses travel as
@@ -543,9 +543,7 @@ class ShardedPolicyServer:
         each shard's contiguous slice is parked in that shard's request ring
         (header-only pipe message), all shards serve **concurrently**, and
         responses are mapped back out of the response rings and scattered to
-        request order through the inverse permutation — the exact mirror of
-        the single-process grouping inside ``PolicyServer.serve_columnar``,
-        one level up.
+        request order through the inverse permutation.
 
         Fault handling: a shard that dies, times out, or replies under a
         stale ring generation is restarted and its slice re-dispatched, with

@@ -56,7 +56,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.serving.compiled import CompiledTreePolicy
+    from repro.serving.compiled import CompiledTreeForest, CompiledTreePolicy
     from repro.store.store import PolicyStore
 
 #: First 8 bytes of every arena file.
@@ -273,6 +273,7 @@ class PolicyArena:
         self._file = handle
         self._mm = mapped
         self._handles: Dict[str, "CompiledTreePolicy"] = {}
+        self._forest: Optional["CompiledTreeForest"] = None
         self._views: Dict[str, NDArray[Any]] = {}
         self._sections: Dict[str, ArenaSection] = {}
         self._ids: List[str] = []
@@ -456,6 +457,39 @@ class PolicyArena:
     def __contains__(self, policy_id: object) -> bool:
         return policy_id in self._rows
 
+    def row(self, policy_id: str) -> Optional[int]:
+        """The policy's position in pack order (its tree in :meth:`forest`), or ``None``."""
+        return self._rows.get(policy_id)
+
+    def forest(self) -> "CompiledTreeForest":
+        """Every packed policy as one forest over the mapping, with zero copies.
+
+        Tree ``t`` is the policy at :meth:`row` ``t``.  The node and action
+        arrays are the mmap sections themselves and ``node_start`` /
+        ``action_start`` / ``n_features`` are columns of the offset index, so
+        a server descending this forest reads the same physical pages as
+        every other process that maps the arena.  Built once, then cached.
+        """
+        if self._forest is None:
+            if self._mm.closed:
+                raise ArenaIntegrityError(f"{self.path}: arena is closed")
+            from repro.serving.compiled import CompiledTreeForest
+
+            views, index = self._views, self._index
+            self._forest = CompiledTreeForest(
+                feature=views["feature"],
+                threshold=views["threshold"],
+                left=views["left"],
+                right=views["right"],
+                leaf_action=views["leaf_action"],
+                action_pairs=views["action_pairs"],
+                node_start=index[:, IDX_NODE_START],
+                action_start=index[:, IDX_ACTION_START],
+                n_features=index[:, IDX_N_FEATURES],
+                depth=int(index[:, IDX_DEPTH].max(initial=1)),
+            )
+        return self._forest
+
     def get(self, policy_id: str) -> Optional["CompiledTreePolicy"]:
         """The compiled policy for an id, or ``None`` when not packed.
 
@@ -501,6 +535,7 @@ class PolicyArena:
         last view is garbage-collected.
         """
         self._handles.clear()
+        self._forest = None
         self._views.clear()
         self._index = np.empty((0, 6), dtype=np.int64)
         if not self._mm.closed:

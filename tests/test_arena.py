@@ -89,6 +89,30 @@ def test_arena_views_are_zero_copy_and_frozen(packed_store):
         assert arena.get("no/such/policy") is None
 
 
+def test_server_arena_forest_is_zero_copy_and_frozen(packed_store):
+    # Serving descends the arena's own pages: a forest copied into the heap
+    # would lose the page sharing across shard workers (BENCH_store_cold.json).
+    store, _, names = packed_store
+    server = PolicyServer(store=store)
+    forest = server._arena_forest  # what serve_columnar descends
+    assert forest is not None and forest is server.arena.forest()
+    mapping = np.frombuffer(server.arena._mm, dtype=np.uint8)
+    for name in ("feature", "threshold", "left", "right", "leaf_action",
+                 "action_pairs", "node_start", "action_start", "n_features"):
+        array = getattr(forest, name)
+        assert np.may_share_memory(array, mapping), name
+        assert not array.flags.writeable, name
+    assert forest.size == len(names)
+    rows = np.random.default_rng(3).uniform(-6.0, 6.0, size=(40, N_FEATURES))
+    trees = np.arange(40) % len(names)
+    actions, _ = forest.predict(trees, rows)
+    for row, tree in enumerate(trees):
+        policy_id = server.arena.policy_ids()[tree]
+        assert server.arena.row(policy_id) == tree
+        assert actions[row] == server.arena.get(policy_id).predict_batch(rows[row])[0]
+    server.close()
+
+
 def test_write_arena_rejects_duplicates_and_empty(tmp_path):
     policy = CompiledTreePolicy.from_policy(random_policy(0))
     with pytest.raises(ValueError, match="duplicate"):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.tree_policy import TreePolicy
+from repro.data import PolicyRequestBatch
 from repro.dtree.cart import DecisionTreeClassifier
+from repro.dtree.node import TreeNode
 from repro.serving import (
     CompiledTreeForest,
     CompiledTreePolicy,
@@ -14,6 +16,7 @@ from repro.serving import (
     PolicyServer,
     UnknownPolicyError,
 )
+from repro.store import PolicyKey, PolicyStore
 
 N_FEATURES = 6
 ACTION_PAIRS = [(15 + i, 22 + i) for i in range(8)]
@@ -158,6 +161,199 @@ def test_server_lru_eviction_and_store_resolution(tmp_path):
 
     with pytest.raises(UnknownPolicyError):
         server.serve_one("no/such/policy", observation)
+
+
+# ------------------------------------------------- handle-keyed forest serving
+def deep_policy(seed: int, leaves: int, spine: int = 15):
+    """A tree of ``leaves`` leaves and depth >= ``spine``, sized like an extraction.
+
+    The recorded extractions grow 69 (``PipelineConfig.tiny()``) to 361
+    (``PipelineConfig()``) leaves at depth 15-23.  The first ``spine`` splits
+    each split a child of the previous one, which guarantees the depth; the
+    rest split leaves drawn uniformly.  Every split falls inside its leaf's
+    input box, so every leaf is reachable, and thresholds are float32
+    values, so a float32 row can sit exactly on a split too.  Returns the
+    policy and one row inside every leaf's box.
+    """
+    rng = np.random.default_rng(seed)
+    lows, highs = np.full(N_FEATURES, -6.0), np.full(N_FEATURES, 6.0)
+    root = TreeNode(prediction=int(rng.integers(len(ACTION_PAIRS))))
+    boxes = {id(root): (root, lows, highs)}
+
+    def split(node: TreeNode) -> TreeNode:
+        _, low, high = boxes.pop(id(node))
+        feature = int(rng.integers(N_FEATURES))
+        threshold = float(np.float32(rng.uniform(low[feature], high[feature])))
+        node.feature_index, node.threshold, node.prediction = feature, threshold, 0
+        left_high, right_low = high.copy(), low.copy()
+        left_high[feature] = right_low[feature] = threshold
+        node.left, node.right = (
+            TreeNode(prediction=int(rng.integers(len(ACTION_PAIRS))), depth=node.depth + 1)
+            for _ in range(2)
+        )
+        boxes[id(node.left)] = (node.left, low, left_high)
+        boxes[id(node.right)] = (node.right, right_low, high)
+        return node.left if rng.random() < 0.5 else node.right
+
+    node = root
+    for _ in range(spine):
+        node = split(node)
+    while len(boxes) < leaves:
+        keys = list(boxes)
+        split(boxes[keys[int(rng.integers(len(keys)))]][0])
+    tree = DecisionTreeClassifier()
+    tree.n_features = N_FEATURES
+    tree.root = root
+    tree.classes_ = np.arange(len(ACTION_PAIRS))
+    policy = TreePolicy(tree, action_pairs=ACTION_PAIRS, feature_names=FEATURE_NAMES)
+    inside = np.array([rng.uniform(low, high) for _, low, high in boxes.values()])
+    return policy, inside
+
+
+def deep_probes(seed: int, leaves: int):
+    """A :func:`deep_policy` and rows reaching every leaf and every split boundary."""
+    policy, inside = deep_policy(seed, leaves)
+    return policy, np.concatenate([inside, probe_inputs(policy, seed, rows=policy.node_count)])
+
+
+def test_compiled_depth_does_not_trust_node_depth_fields():
+    # A hand-built tree whose nodes all keep the default depth of 0.
+    policy, inputs = deep_probes(3, leaves=40)
+    for node in policy.tree.root.iter_nodes():
+        node.depth = 0
+    assert policy.depth == 0
+    compiled = CompiledTreePolicy.from_policy(policy)
+    assert compiled.depth >= 15
+    assert np.array_equal(compiled.predict_batch(inputs), policy.predict_action_indices(inputs))
+
+
+def test_forest_predict_gathers_each_trees_own_setpoints():
+    policies = [random_policy(seed) for seed in range(4)]
+    forest = CompiledTreeForest.from_policies(policies)
+    rng = np.random.default_rng(3)
+    trees = rng.integers(0, len(policies), size=300)
+    inputs = rng.uniform(-6.0, 6.0, size=(300, N_FEATURES))
+    actions, pairs = forest.predict(trees, inputs)
+    for row, tree in enumerate(trees):
+        expected = policies[tree].predict_action_index(inputs[row])
+        assert actions[row] == expected
+        assert tuple(pairs[row]) == policies[tree].decode_action(expected)
+    with pytest.raises(ValueError, match=r"got \(300, 5\)"):
+        forest.predict(trees, inputs[:, :5])
+
+
+def _put(store: PolicyStore, seed: int, policy: TreePolicy) -> str:
+    key = PolicyKey(
+        city=f"city{seed}", season="summer", building="office", seed=seed,
+        config_hash=f"{seed:012x}",
+    )
+    return store.put_policy(key, policy).key.name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mixed_batch_is_action_exact_at_extracted_tree_depth(tmp_path, dtype):
+    store = PolicyStore(tmp_path)
+    trees = [deep_probes(seed, n) for seed, n in enumerate((69, 361, 150, 240, 97, 300, 122))]
+    assert all(policy.depth >= 15 for policy, _ in trees)
+    arena_ids = [_put(store, seed, trees[seed][0]) for seed in range(3)]
+    store.pack()
+    json_ids = [_put(store, seed, trees[seed][0]) for seed in (3, 4)]  # JSON-only
+    server = PolicyServer(store=store, cache_size=8)
+    assert server._arena_forest is not None
+    # Trees 5 and 6 are registered, tree 6 under an arena id: it shadows tree 0.
+    server.register("pinned/extra", trees[5][0])
+    server.register(arena_ids[0], trees[6][0])
+    served = dict(zip(arena_ids[1:] + json_ids + ["pinned/extra", arena_ids[0]], trees[1:]))
+    policies = {policy_id: policy for policy_id, (policy, _) in served.items()}
+
+    ids = np.concatenate([[policy_id] * len(rows) for policy_id, (_, rows) in served.items()])
+    order = np.random.default_rng(8).permutation(len(ids))
+    ids = ids[order]
+    observations = np.concatenate([rows for _, rows in served.values()])[order].astype(dtype)
+
+    response = server.serve_columnar(PolicyRequestBatch(policy_ids=ids, observations=observations))
+    for policy_id, policy in policies.items():
+        picked = ids == policy_id
+        expected = policy.predict_action_indices(observations[picked])
+        assert np.array_equal(response.action_indices[picked], expected), policy_id
+        setpoints = np.asarray(policy.action_pairs)[expected]
+        assert np.array_equal(response.heating_setpoints[picked], setpoints[:, 0])
+        assert np.array_equal(response.cooling_setpoints[picked], setpoints[:, 1])
+    stats = server.stats
+    assert stats.arena_hits == len(arena_ids) - 1  # the shadowed id is not an arena hit
+    assert stats.compile_count == stats.cache_misses == len(json_ids)
+    assert stats.per_policy_requests == {
+        policy_id: int(np.sum(ids == policy_id)) for policy_id in policies
+    }
+    server.close()
+
+
+def test_more_json_only_ids_in_one_batch_than_the_cache_holds(tmp_path):
+    store = PolicyStore(tmp_path)
+    policies = {_put(store, seed, random_policy(seed + 60)): None for seed in range(6)}
+    for policy_id in policies:
+        policies[policy_id] = store.find(policy_id).policy
+    server = PolicyServer(store=store, cache_size=2, arena=False)
+    rng = np.random.default_rng(4)
+    ids = np.array(list(policies))[rng.integers(0, len(policies), size=500)]
+    observations = rng.uniform(-6.0, 6.0, size=(500, N_FEATURES))
+    batch = PolicyRequestBatch(policy_ids=ids, observations=observations)
+
+    for _ in range(2):
+        response = server.serve_columnar(batch)
+        for policy_id, policy in policies.items():
+            picked = ids == policy_id
+            expected = policy.predict_action_indices(observations[picked])
+            assert np.array_equal(response.action_indices[picked], expected)
+        if server.stats.batches == 1:
+            # What resolving each of the six policies in turn reports: six
+            # misses and compiles, and four evictions from an LRU of two.
+            assert server.stats.compile_count == 6
+            assert server.stats.cache_misses == 6
+            assert server.stats.evictions == 4
+            assert server.stats.cache_hits == 0
+    # The two policies the LRU kept are hits in the second batch.
+    assert server.stats.cache_hits == 2
+    assert server.stats.compile_count == server.stats.cache_misses == 10
+
+
+def test_failed_batches_leave_stats_untouched(tmp_path):
+    store = PolicyStore(tmp_path)
+    arena_id = _put(store, 0, random_policy(70))
+    store.pack()
+    json_id = _put(store, 1, random_policy(71))  # JSON-only
+    rng = np.random.default_rng(5)
+
+    def batch(ids, width=N_FEATURES):
+        observations = rng.uniform(-6.0, 6.0, size=(len(ids), width))
+        return PolicyRequestBatch(policy_ids=np.array(ids), observations=observations)
+
+    server = PolicyServer(store=store, cache_size=4)
+    server.register("a", random_policy(72))
+    server.register("b", random_policy(73))
+    with pytest.raises(UnknownPolicyError):
+        server.serve_columnar(batch(["a", "b", "zzz", "a"]))
+    assert server.stats.per_policy_requests == {}
+    assert server.stats.requests == 0
+
+    server.serve_columnar(batch(["a", "b", arena_id]))
+    before = server.stats.to_dict()
+    failing = [
+        (batch(["a", "b", "zzz", "a"]), UnknownPolicyError, None),
+        (batch([json_id, arena_id, "zzz"]), UnknownPolicyError, None),
+        (batch(["a", "b"], width=7), ValueError, r"got \(2, 7\)"),
+        (batch([arena_id, json_id, "a"], width=5), ValueError, r"got \(3, 5\)"),
+    ]
+    for request, error, match in failing:
+        with pytest.raises(error, match=match):
+            server.serve_columnar(request)
+        assert server.stats.to_dict() == before
+        stats = server.stats
+        assert sum(stats.per_policy_requests.values()) == stats.requests
+    # The JSON policy loaded by the failed batches never reached the LRU.
+    server.serve_columnar(batch([json_id]))
+    assert server.stats.cache_misses == server.stats.compile_count == 1
+    server.close()
 
 
 # --------------------------------------------------------------------- CLI
