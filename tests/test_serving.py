@@ -299,22 +299,19 @@ def test_more_json_only_ids_in_one_batch_than_the_cache_holds(tmp_path):
     observations = rng.uniform(-6.0, 6.0, size=(500, N_FEATURES))
     batch = PolicyRequestBatch(policy_ids=ids, observations=observations)
 
-    for _ in range(2):
-        response = server.serve_columnar(batch)
-        for policy_id, policy in policies.items():
-            picked = ids == policy_id
-            expected = policy.predict_action_indices(observations[picked])
-            assert np.array_equal(response.action_indices[picked], expected)
-        if server.stats.batches == 1:
-            # What resolving each of the six policies in turn reports: six
-            # misses and compiles, and four evictions from an LRU of two.
-            assert server.stats.compile_count == 6
-            assert server.stats.cache_misses == 6
-            assert server.stats.evictions == 4
-            assert server.stats.cache_hits == 0
-    # The two policies the LRU kept are hits in the second batch.
-    assert server.stats.cache_hits == 2
-    assert server.stats.compile_count == server.stats.cache_misses == 10
+    expected = np.empty(len(ids), dtype=np.int64)
+    for policy_id, policy in policies.items():
+        expected[ids == policy_id] = policy.predict_action_indices(observations[ids == policy_id])
+
+    assert np.array_equal(server.serve_columnar(batch).action_indices, expected)
+    # What resolving each of the six policies in turn reports: six misses and
+    # compiles, and four evictions from an LRU of two.
+    stats = server.stats
+    assert (stats.compile_count, stats.cache_misses, stats.evictions) == (6, 6, 4)
+    assert stats.cache_hits == 0
+    # Again: the two policies the LRU kept are hits, the other four reload.
+    assert np.array_equal(server.serve_columnar(batch).action_indices, expected)
+    assert (stats.cache_hits, stats.compile_count, stats.cache_misses) == (2, 10, 10)
 
 
 def test_failed_batches_leave_stats_untouched(tmp_path):
