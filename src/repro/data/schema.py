@@ -16,7 +16,7 @@ The types below are contiguous, dtype-declared structs-of-arrays:
   step, one typed column per scalar info key of the serial environment,
 * :class:`PolicyRequestBatch` / :class:`PolicyResponseBatch` — the columnar
   serving front door (arrays in, arrays out), with a cached building-id
-  grouping for routing rows to shards.
+  grouping for callers that split a batch by policy.
 
 Every batch validates its columns on construction (dtype, dimensionality,
 shared row count), supports row ``take``/``slice`` and ``concat``, and
@@ -538,9 +538,11 @@ class InfoBatch(ColumnarBatch):
 class PolicyRequestBatch(ColumnarBatch):
     """One serving batch: a building/policy id column plus observation rows.
 
-    The server answers a mixed-building batch straight from the id column.
-    :meth:`grouping` (integer codes over the distinct ids, computed once and
-    cached) is what the sharded front door routes rows to shards by.
+    The server answers a mixed-building batch straight from the id column,
+    and the sharded front door routes its rows with a
+    :class:`~repro.serving.sharded.ShardRouter`.  :meth:`grouping` (integer
+    codes over the distinct ids, computed once and cached) is for callers
+    that want the batch split by policy.
     """
 
     policy_ids: NDArray[Any]

@@ -32,6 +32,7 @@ from repro.serving.server import (
 from repro.serving.faults import FAULT_KINDS, Fault, FaultPlan, FaultState
 from repro.serving.sharded import (
     FleetStats,
+    ShardRouter,
     ShardedPolicyServer,
     ShardedServingError,
     shard_for_policy,
@@ -53,6 +54,7 @@ __all__ = [
     "PolicyResponseBatch",
     "PolicyServer",
     "ServerStats",
+    "ShardRouter",
     "ShardState",
     "ShardSupervisor",
     "ShardedPolicyServer",

@@ -11,11 +11,12 @@ The native endpoint is columnar: :meth:`PolicyServer.serve_columnar` takes a
 :class:`~repro.data.PolicyResponseBatch` — arrays in, arrays out.  The server
 interns every policy id it has seen into an integer handle with one dict, so
 a batch's id column becomes a handle column in one lookup pass.  Each handle
-names a tree in one of two :class:`~repro.serving.compiled.CompiledTreeForest`
-instances: the packed arena's, which is the mmap itself, or the in-memory
-forest of registered and JSON-compiled policies.  Every row then descends its
-own tree in one vectorised pass per forest present in the batch, with no
-grouping, sorting, per-policy loop or scatter.  No per-request python objects
+names a tree in a :class:`~repro.serving.compiled.CompiledTreeForest`: the
+packed arena's, which is the mmap itself, the in-memory forest of registered
+and cached JSON-compiled policies, or — for JSON policies the batch is the
+first to ask for — a small forest of just those loads.  Every row then
+descends its own tree in one vectorised pass per forest present in the
+batch, with no grouping, sorting, per-policy loop or scatter.  No per-request python objects
 exist anywhere on this path; the legacy object API
 (:meth:`PolicyServer.serve` over :class:`PolicyRequest`) is a thin adapter
 on top of it.
@@ -140,14 +141,14 @@ class PolicyServer:
         self._owns_arena = not isinstance(arena, PolicyArena)
         self.arena, self.arena_error = resolve_arena(arena, self.store)
         #: Policy id -> handle.  Handle ``h`` below the arena's policy count is
-        #: arena tree ``h``; the rest are trees of the in-memory forest,
-        #: offset by the arena's policy count.
+        #: arena tree ``h``; the rest name ``_memory_ids`` and the in-memory
+        #: forest's trees in that order, offset by the arena's policy count.
         self._handles: Dict[str, int] = {}
         self._arena_forest: Optional[CompiledTreeForest] = None
         self._arena_ids: List[str] = []
-        #: The in-memory forest holds every registration and every LRU entry
-        #: (:meth:`_members`); it is rebuilt, and its handles re-interned,
-        #: before the next batch after either set changes.
+        #: The in-memory forest holds every registration and every LRU entry;
+        #: it is rebuilt, and its handles re-interned, before the next batch
+        #: after either set changes.  LRU hits reorder the LRU, never it.
         self._memory_ids: List[str] = []
         self._memory_forest: Optional[CompiledTreeForest] = None
         self._memory_stale = False
@@ -237,19 +238,14 @@ class PolicyServer:
             self.stats.evictions += 1
 
     # ---------------------------------------------------------------- handles
-    def _members(self) -> Dict[str, CompiledTreePolicy]:
-        """The in-memory forest's trees in order: the LRU, then registrations."""
-        members = dict(self._cache)
-        members.update(self._registered)  # a registration shadows its LRU entry
-        return members
-
     def _refresh_memory(self) -> None:
-        """Rebuild the in-memory forest from the registrations and the LRU."""
+        """Rebuild the in-memory forest from the LRU, then the registrations."""
         if not self._memory_stale:
             return
         for policy_id in self._memory_ids:
             del self._handles[policy_id]
-        members = self._members()
+        members = dict(self._cache)
+        members.update(self._registered)  # a registration shadows its LRU entry
         self._memory_ids = list(members)
         self._memory_forest = (
             CompiledTreeForest.from_compiled(list(members.values())) if members else None
@@ -265,10 +261,10 @@ class PolicyServer:
 
         Ids seen before cost one dict lookup each.  An unseen arena id is
         interned on the spot.  An unseen JSON-only id is loaded and compiled
-        but not yet cached: it gets a provisional handle just past the
-        in-memory forest, and enters the LRU only once the batch succeeds.
-        Raises :class:`UnknownPolicyError` with the stats and the LRU
-        unchanged.
+        but not yet cached: it gets a handle just past the in-memory forest
+        for this batch only, and is interned when it enters the LRU once the
+        batch succeeds.  Raises :class:`UnknownPolicyError` with the stats
+        and the LRU unchanged.
         """
         self._refresh_memory()
         ids = policy_ids.tolist()
@@ -285,20 +281,23 @@ class PolicyServer:
             else:
                 staged[policy_id] = self._compile_stored(policy_id)
         first = len(self._arena_ids) + len(self._memory_ids)
-        lookup = dict(table)
-        lookup.update(zip(staged, range(first, first + len(staged))))
-        return np.fromiter(map(lookup.__getitem__, ids), dtype=np.int64, count=len(ids)), staged
+        table.update(zip(staged, range(first, first + len(staged))))
+        handles = np.fromiter(map(table.__getitem__, ids), dtype=np.int64, count=len(ids))
+        for policy_id in staged:
+            del table[policy_id]
+        return handles, staged
 
     # --------------------------------------------------------------- serving
     def serve_columnar(self, batch: PolicyRequestBatch) -> PolicyResponseBatch:
         """Answer one columnar batch of (possibly mixed-building) requests.
 
         The id column becomes a handle column through the intern table, and
-        each forest present in the batch — the arena's, the in-memory one, or
-        both — runs one descent over its rows.  Every policy is resolved and
-        every row's input width checked before any counter moves, so a batch
-        that raises (:class:`UnknownPolicyError`, or ``ValueError`` naming
-        the batch's shape) leaves :attr:`stats` and the LRU untouched.
+        each forest present in the batch — the arena's, the in-memory one,
+        and one of the batch's fresh JSON loads — runs one descent over its
+        rows.  Every policy is resolved and every row's input width checked
+        before any counter moves, so a batch that raises
+        (:class:`UnknownPolicyError`, or ``ValueError`` naming the batch's
+        shape) leaves :attr:`stats` and the LRU untouched.
         """
         rows = len(batch)
         if rows == 0:
@@ -309,43 +308,42 @@ class PolicyServer:
                 cooling_setpoints=np.empty(0, dtype=np.int64),
             )
         handles, staged = self._lookup(batch.policy_ids)
-        memory_ids, memory = self._memory_ids, self._memory_forest
-        if staged:  # the forest this batch descends: the current one plus its loads
-            members = {**self._members(), **staged}
-            memory_ids = list(members)
-            memory = CompiledTreeForest.from_compiled(list(members.values()))
+        # Handles below arena_end are arena trees, those below memory_end the
+        # in-memory forest's, and the rest this batch's fresh JSON loads.
+        arena_end = len(self._arena_ids)
+        memory_end = arena_end + len(self._memory_ids)
+        loaded = CompiledTreeForest.from_compiled(list(staged.values())) if staged else None
         counts = np.bincount(handles)
         present = np.flatnonzero(counts)
-        first = len(self._arena_ids)
-        split = int(np.searchsorted(present, first))
-        # (forest, its first handle) for each forest this batch reaches.
-        parts: List[Tuple[CompiledTreeForest, int]] = []
+        arena_cut, memory_cut = np.searchsorted(present, (arena_end, memory_end)).tolist()
+        # (forest, its first handle, the handle past its last) per forest reached.
+        parts: List[Tuple[CompiledTreeForest, int, int]] = []
         observations = batch.observations
-        for forest, offset, trees in (
-            (self._arena_forest, 0, present[:split]),
-            (memory, first, present[split:]),
+        for forest, first, end, trees in (
+            (self._arena_forest, 0, arena_end, present[:arena_cut]),
+            (self._memory_forest, arena_end, memory_end, present[arena_cut:memory_cut]),
+            (loaded, memory_end, memory_end + len(staged), present[memory_cut:]),
         ):
             if trees.size == 0:
                 continue
             if forest is None:
                 raise ArenaIntegrityError("the server's arena is closed")
-            observations = forest.check_inputs(trees - offset, observations)
-            parts.append((forest, offset))
+            observations = forest.check_inputs(trees - first, observations)
+            parts.append((forest, first, end))
 
         if len(parts) == 1:
-            forest, offset = parts[0]
-            actions, pairs = forest.predict(handles - offset, observations)
+            forest, first, _ = parts[0]
+            actions, pairs = forest.predict(handles - first, observations)
         else:
             actions = np.empty(rows, dtype=np.int64)
             pairs = np.empty((rows, 2), dtype=np.int64)
-            in_memory = handles >= first
-            for (forest, offset), picked in zip(parts, (~in_memory, in_memory)):
-                index = np.flatnonzero(picked)
+            for forest, first, end in parts:
+                index = np.flatnonzero((handles >= first) & (handles < end))
                 actions[index], pairs[index] = forest.predict(
-                    handles[index] - offset, observations[index]
+                    handles[index] - first, observations[index]
                 )
 
-        self._count(rows, present, counts[present], staged, memory_ids)
+        self._count(rows, present, counts[present], staged)
         return PolicyResponseBatch(
             policy_ids=batch.policy_ids,
             action_indices=actions,
@@ -359,7 +357,6 @@ class PolicyServer:
         present: NDArray[Any],
         counts: NDArray[Any],
         staged: Dict[str, CompiledTreePolicy],
-        memory_ids: List[str],
     ) -> None:
         """Credit a served batch to the stats and the LRU.
 
@@ -369,13 +366,14 @@ class PolicyServer:
         """
         stats = self.stats
         tally = stats.per_policy_requests
-        first = len(self._arena_ids)
+        arena_end = len(self._arena_ids)
+        names = self._memory_ids + list(staged)  # the handles past the arena's
         for handle, count in zip(present.tolist(), counts.tolist()):
-            if handle < first:
+            if handle < arena_end:
                 policy_id = self._arena_ids[handle]
                 stats.arena_hits += 1
             else:
-                policy_id = memory_ids[handle - first]
+                policy_id = names[handle - arena_end]
                 if policy_id in self._cache and policy_id not in self._registered:
                     stats.cache_hits += 1
                     self._cache.move_to_end(policy_id)

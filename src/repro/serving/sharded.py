@@ -89,12 +89,16 @@ DEFAULT_RETRIES = 2
 #: Base of the exponential backoff between retry attempts, in seconds.
 DEFAULT_BACKOFF = 0.05
 
+#: Most policy ids a :class:`ShardRouter` remembers before it starts over.
+SHARD_ROUTER_LIMIT = 1 << 16
+
 __all__ = [
     "DEFAULT_BACKOFF",
     "DEFAULT_RETRIES",
     "DEFAULT_RING_CAPACITY",
     "DEFAULT_TIMEOUT",
     "FleetStats",
+    "ShardRouter",
     "ShardedPolicyServer",
     "ShardedServingError",
     "shard_for_policy",
@@ -112,20 +116,71 @@ def shard_for_policy(policy_id: str, num_shards: int) -> int:
     return zlib.crc32(str(policy_id).encode("utf-8")) % int(num_shards)
 
 
-def shard_rows(batch: PolicyRequestBatch, num_shards: int) -> NDArray[Any]:
-    """Per-row shard assignment for a request batch, shape ``(B,)``.
+class ShardRouter:
+    """Per-row shard assignment that remembers every policy id it has routed.
 
-    Hashes only the batch's *unique* policy ids (via the cached integer
-    grouping codes), then gathers — O(unique policies) hash calls regardless
-    of row count.
+    The ids seen so far are kept sorted, each with its shard, so routing a
+    batch is one vectorised binary search of its id column against that
+    table: no sort of the column and no Python object per row.  A batch that
+    brings an id the table lacks is sorted once to learn it.  Past
+    :data:`SHARD_ROUTER_LIMIT` ids the table starts over, so a stream of
+    ever-new (or unknown) ids cannot grow it without bound.
     """
-    codes, unique_ids = batch.grouping()
-    shard_by_policy = np.fromiter(
-        (shard_for_policy(str(policy_id), num_shards) for policy_id in unique_ids),
-        dtype=np.int64,
-        count=len(unique_ids),
-    )
-    return shard_by_policy[codes]
+
+    def __init__(self, num_shards: int):
+        self.num_shards = int(num_shards)
+        self._ids: NDArray[Any] = np.empty(0, dtype=np.str_)
+        self._shards: NDArray[Any] = np.empty(0, dtype=np.int64)
+
+    def __call__(self, policy_ids: NDArray[Any]) -> NDArray[Any]:
+        """The shard of each row's policy id, shape ``(B,)``."""
+        if len(policy_ids) == 0:
+            return np.empty(0, dtype=np.int64)
+        slots = self._find(policy_ids)
+        if slots is None:
+            self._learn(policy_ids)
+            slots = self._find(policy_ids)
+            assert slots is not None
+        return self._shards[slots]
+
+    def _find(self, policy_ids: NDArray[Any]) -> Optional[NDArray[Any]]:
+        """Each row's slot in the table, or ``None`` if any id is missing."""
+        table = self._ids
+        if len(table) == 0 or table.dtype.kind != policy_ids.dtype.kind:
+            return None
+        slots = np.searchsorted(table, policy_ids)
+        np.minimum(slots, len(table) - 1, out=slots)
+        return slots if np.array_equal(table[slots], policy_ids) else None
+
+    def _learn(self, policy_ids: NDArray[Any]) -> None:
+        """Merge the batch's distinct ids into the table, hashing the new ones."""
+        batch_ids = np.unique(policy_ids)
+        table = self._ids
+        if (
+            table.dtype.kind != batch_ids.dtype.kind
+            or len(table) + len(batch_ids) > SHARD_ROUTER_LIMIT
+        ):
+            table = batch_ids[:0]
+        fresh = np.setdiff1d(batch_ids, table, assume_unique=True)
+        shards = np.fromiter(
+            (shard_for_policy(str(policy_id), self.num_shards) for policy_id in fresh),
+            dtype=np.int64,
+            count=len(fresh),
+        )
+        merged = np.concatenate([table, fresh])
+        order = np.argsort(merged, kind="stable")
+        self._ids = merged[order]
+        self._shards = np.concatenate([self._shards[: len(table)], shards])[order]
+
+
+def shard_rows(batch: PolicyRequestBatch, num_shards: int) -> NDArray[Any]:
+    """Per-row shard assignment for one request batch, shape ``(B,)``.
+
+    Hashes each distinct policy id once.  :class:`ShardedPolicyServer`
+    keeps one :class:`ShardRouter` across batches instead, so an id is
+    hashed once in all.
+    """
+    return ShardRouter(num_shards)(batch.policy_ids)
 
 
 @dataclass
@@ -292,6 +347,7 @@ class ShardedPolicyServer:
         self._supervisor: Optional[ShardSupervisor] = None
         self._fallback_server: Optional[PolicyServer] = None
         self._fleet_stats = FleetStats()
+        self._router = ShardRouter(self.num_shards)
         self._closed = False
         if self.num_shards == 1:
             # In-process fallback: identical API, zero process/ring tax.
@@ -539,11 +595,12 @@ class ShardedPolicyServer:
     def serve_columnar(self, batch: PolicyRequestBatch) -> PolicyResponseBatch:
         """Answer one columnar batch, fanned out across the shard fleet.
 
-        Rows are partitioned by :func:`shard_rows` with one stable argsort,
-        each shard's contiguous slice is parked in that shard's request ring
-        (header-only pipe message), all shards serve **concurrently**, and
-        responses are mapped back out of the response rings and scattered to
-        request order through the inverse permutation.
+        Rows are routed by the server's :class:`ShardRouter` and partitioned
+        with one stable argsort, each shard's contiguous slice is parked in
+        that shard's request ring (header-only pipe message), all shards
+        serve **concurrently**, and responses are mapped back out of the
+        response rings and scattered to request order through the inverse
+        permutation.
 
         Fault handling: a shard that dies, times out, or replies under a
         stale ring generation is restarted and its slice re-dispatched, with
@@ -585,8 +642,9 @@ class ShardedPolicyServer:
 
     def _partition(self, batch: PolicyRequestBatch, rows: int) -> _SortedBatch:
         """Sort the batch into contiguous per-shard slices (no copy at 1)."""
-        row_shards = shard_rows(batch, self.num_shards)
-        present = np.unique(row_shards)
+        row_shards = self._router(batch.policy_ids)
+        counts = np.bincount(row_shards, minlength=self.num_shards)
+        present = np.flatnonzero(counts)
         sorted_batch = _SortedBatch(
             ids=batch.policy_ids,
             observations=batch.observations,
@@ -602,11 +660,10 @@ class ShardedPolicyServer:
         sorted_batch.order = order
         sorted_batch.ids = batch.policy_ids[order]
         sorted_batch.observations = batch.observations[order]
-        starts = np.searchsorted(row_shards[order], present)
-        stops = np.append(starts[1:], rows)
-        for position, shard in enumerate(present):
+        stops = np.cumsum(counts)
+        for shard in present:
             sorted_batch.pending[int(shard)] = _PendingSlice(
-                lo=int(starts[position]), hi=int(stops[position])
+                lo=int(stops[shard] - counts[shard]), hi=int(stops[shard])
             )
         return sorted_batch
 

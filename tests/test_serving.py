@@ -314,6 +314,30 @@ def test_more_json_only_ids_in_one_batch_than_the_cache_holds(tmp_path):
     assert (stats.cache_hits, stats.compile_count, stats.cache_misses) == (2, 10, 10)
 
 
+def test_a_miss_after_lru_hits_keeps_every_row_on_its_own_tree(tmp_path):
+    # Serving [p] after [p, q] reorders the LRU to [q, p]; the batch [p, r]
+    # then loads r.  Each row must still reach its own policy's tree and be
+    # credited to its own id.
+    store = PolicyStore(tmp_path)
+    p, q, r = (_put(store, seed, random_policy(seed + 80)) for seed in range(3))
+    policies = {policy_id: store.find(policy_id).policy for policy_id in (p, q, r)}
+    server = PolicyServer(store=store, cache_size=4, arena=False)
+    rng = np.random.default_rng(6)
+    tally = {}
+    for ids in ([p, q], [p], [p, r]):
+        column = np.array(ids)[rng.integers(0, len(ids), size=300)]
+        observations = rng.uniform(-6.0, 6.0, size=(300, N_FEATURES))
+        batch = PolicyRequestBatch(policy_ids=column, observations=observations)
+        actions = server.serve_columnar(batch).action_indices
+        for policy_id in ids:
+            picked = column == policy_id
+            expected = policies[policy_id].predict_action_indices(observations[picked])
+            assert np.array_equal(actions[picked], expected), (ids, policy_id)
+            tally[policy_id] = tally.get(policy_id, 0) + int(picked.sum())
+        assert server.stats.per_policy_requests == tally
+    assert (server.stats.cache_hits, server.stats.cache_misses) == (2, 3)
+
+
 def test_failed_batches_leave_stats_untouched(tmp_path):
     store = PolicyStore(tmp_path)
     arena_id = _put(store, 0, random_policy(70))

@@ -21,10 +21,12 @@ from repro.data import (
 )
 from repro.data.shm import ColumnSegment
 from repro.dtree.cart import DecisionTreeClassifier
+from repro.serving import sharded as sharded_module
 from repro.serving import (
     PolicyServer,
     ShardedPolicyServer,
     ShardedServingError,
+    ShardRouter,
     shard_for_policy,
     shard_rows,
 )
@@ -176,6 +178,20 @@ def test_shard_rows_matches_per_row_hash():
         [shard_for_policy(str(pid), 3) for pid in batch.policy_ids]
     )
     assert np.array_equal(shard_rows(batch, 3), expected)
+
+
+def test_shard_router_remembers_ids_and_starts_over_past_its_limit(monkeypatch):
+    monkeypatch.setattr(sharded_module, "SHARD_ROUTER_LIMIT", 6)
+    router = ShardRouter(3)
+    for seed, ids in enumerate(
+        ([f"b{i}" for i in range(5)], ["b3", "b1"], ["b0", "b9", "b5"], ["b9", "a-longer-id"])
+    ):
+        batch = mixed_batch(seed, 40, ids)
+        expected = np.array([shard_for_policy(str(pid), 3) for pid in batch.policy_ids])
+        assert np.array_equal(router(batch.policy_ids), expected)
+    # Five ids, then two more: past the limit of six the table starts over
+    # with that batch's three, and the last batch adds one.
+    assert sorted(router._ids.tolist()) == ["a-longer-id", "b0", "b5", "b9"]
 
 
 # ------------------------------------------------------------- exactness
