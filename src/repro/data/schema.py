@@ -110,7 +110,8 @@ class ColumnSpec:
 
         Float columns preserve float32/float64 and coerce anything else to
         float64; int columns become ``int64``; id columns become unicode
-        arrays.  Raises :class:`ValueError` on a rank mismatch.
+        arrays, with byte strings decoded as UTF-8.  Raises
+        :class:`ValueError` on a rank mismatch.
         """
         if self.kind == "float":
             # reprolint: disable=REP001 -- dtype-preserving by design: float32
@@ -124,7 +125,9 @@ class ColumnSpec:
             array = np.asarray(value, dtype=bool)
         elif self.kind == "id":
             array = np.asarray(value)  # reprolint: disable=REP001 -- dtype inspected next line
-            if array.dtype.kind not in "US":
+            if array.dtype.kind == "S":
+                array = np.char.decode(array, "utf-8")
+            elif array.dtype.kind != "U":
                 array = np.asarray(
                     [str(v) for v in np.atleast_1d(array)], dtype=np.str_
                 )

@@ -291,21 +291,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
             ShardedPolicyServer,
             store=store,
             num_shards=args.shards,
-            cache_size=args.cache_size,
             timeout=args.timeout,
             retries=args.retries,
             degraded=args.degraded,
             arena=arena,
         )
     else:
-        server = _resolve(PolicyServer, store=store, cache_size=args.cache_size, arena=arena)
+        server = _resolve(PolicyServer, store=store, arena=arena)
     if server.arena_error:
         print(f"arena skipped: {server.arena_error}")
     policy_ids = [entry.key.name for entry in store.entries()]
-    if sharded:
-        dim = PolicyServer(store=store, cache_size=1, arena=False).resolve(policy_ids[0]).n_features
-    else:
-        dim = server.resolve(policy_ids[0]).n_features
+    dim = store.find(policy_ids[0]).policy.input_dim
 
     rng = np.random.default_rng(args.seed)
     observations = _synthetic_observations(rng, args.requests, dim)
@@ -592,7 +588,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         ShardedPolicyServer,
         store=store,
         num_shards=args.shards,
-        cache_size=args.cache_size,
         timeout=args.timeout,
         retries=args.retries,
         degraded=args.degraded,
@@ -807,7 +802,7 @@ def _bench_serve(args: argparse.Namespace) -> Dict:
         compiled_seconds = time.perf_counter() - start
 
         # End-to-end front door: request objects + grouping + response objects.
-        server = PolicyServer(store=store, cache_size=4)
+        server = PolicyServer(store=store)
         policy_id = store.entries()[0].key.name
         requests = [
             PolicyRequest(policy_id=policy_id, observation=row) for row in inputs
@@ -864,9 +859,9 @@ def _bench_serve_columnar(args: argparse.Namespace) -> Dict:
                 PipelineConfig.tiny, city=city, seed=seed, season=args.season
             )
             VerifiedPolicyPipeline(config, store=store).run()
-        server = PolicyServer(store=store, cache_size=4)
+        server = PolicyServer(store=store)
         policy_ids = [entry.key.name for entry in store.entries()]
-        dim = server.resolve(policy_ids[0]).n_features
+        dim = store.find(policy_ids[0]).policy.input_dim
 
         rng = np.random.default_rng(args.seed)
         observations = _synthetic_observations(rng, args.rows, dim)
@@ -944,8 +939,8 @@ def _bench_serve_sharded(args: argparse.Namespace) -> Dict:
             )
             VerifiedPolicyPipeline(config, store=store).run()
         policy_ids = [entry.key.name for entry in store.entries()]
-        single = PolicyServer(store=store, cache_size=8)
-        dim = single.resolve(policy_ids[0]).n_features
+        single = PolicyServer(store=store)
+        dim = store.find(policy_ids[0]).policy.input_dim
 
         rng = np.random.default_rng(args.seed)
         observations = _synthetic_observations(rng, args.rows, dim)
@@ -971,7 +966,7 @@ def _bench_serve_sharded(args: argparse.Namespace) -> Dict:
         single_seconds = time.perf_counter() - start
 
         sharded_actions = np.empty(args.rows, dtype=np.int64)
-        with ShardedPolicyServer(store=store, num_shards=args.shards, cache_size=8) as fleet:
+        with ShardedPolicyServer(store=store, num_shards=args.shards) as fleet:
             fleet.serve_columnar(warmup)
             start = time.perf_counter()
             stream(fleet, sharded_actions)
@@ -1036,8 +1031,8 @@ def _bench_serve_faults(args: argparse.Namespace) -> Dict:
             )
             VerifiedPolicyPipeline(config, store=store).run()
         policy_ids = [entry.key.name for entry in store.entries()]
-        single = PolicyServer(store=store, cache_size=8)
-        dim = single.resolve(policy_ids[0]).n_features
+        single = PolicyServer(store=store)
+        dim = store.find(policy_ids[0]).policy.input_dim
 
         rng = np.random.default_rng(args.seed)
         observations = _synthetic_observations(rng, args.rows, dim)
@@ -1067,7 +1062,6 @@ def _bench_serve_faults(args: argparse.Namespace) -> Dict:
         with ShardedPolicyServer(
             store=store,
             num_shards=args.shards,
-            cache_size=8,
             timeout=timeout,
             retries=args.retries,
             degraded=args.degraded,
@@ -1216,7 +1210,6 @@ def _store_cold_memory_probe(
     warmup_ids,
     fleet_ids,
     observations,
-    cache_size: int,
     conn,
 ) -> None:
     """Child-process half of the store-cold memory measurement.
@@ -1235,9 +1228,7 @@ def _store_cold_memory_probe(
     from repro.serving import PolicyRequestBatch, PolicyServer
     from repro.store import PolicyStore
 
-    server = PolicyServer(
-        store=PolicyStore(store_root), cache_size=cache_size, arena=True
-    )
+    server = PolicyServer(store=PolicyStore(store_root), arena=True)
     server.serve_columnar(
         PolicyRequestBatch(policy_ids=np.asarray(warmup_ids), observations=observations)
     )
@@ -1304,9 +1295,7 @@ def _bench_store_cold(args: argparse.Namespace) -> Dict:
         def fleet_cold(arena_flag):
             """Cold process -> first full-fleet batch; returns the warm server too."""
             start = time.perf_counter()
-            server = PolicyServer(
-                store=store, cache_size=args.policies + 1, arena=arena_flag
-            )
+            server = PolicyServer(store=store, arena=arena_flag)
             actions = server.serve_columnar(fleet_batch).action_indices
             return time.perf_counter() - start, actions, server
 
@@ -1336,7 +1325,7 @@ def _bench_store_cold(args: argparse.Namespace) -> Dict:
                     policy_ids=np.array([policy_id]), observations=observations[:1]
                 )
                 start = time.perf_counter()
-                server = PolicyServer(store=store, cache_size=2, arena=arena_flag)
+                server = PolicyServer(store=store, arena=arena_flag)
                 server.serve_columnar(row)
                 seconds.append(time.perf_counter() - start)
                 server.close()
@@ -1377,7 +1366,6 @@ def _bench_store_cold(args: argparse.Namespace) -> Dict:
                 warmup_ids(lambda pid: policy_ids[0]),
                 list(policy_ids),
                 observations,
-                args.policies + 1,
                 child_end,
             ),
         )
@@ -1392,7 +1380,7 @@ def _bench_store_cold(args: argparse.Namespace) -> Dict:
 
         memory_delta_n: Optional[int] = None
         with ShardedPolicyServer(
-            store=store, num_shards=args.shards, cache_size=8, arena=True
+            store=store, num_shards=args.shards, arena=True
         ) as fleet:
             # Same-size warm-up, one covering policy per shard: every worker
             # serves its full row share once before the baseline read.
@@ -1570,7 +1558,6 @@ def _bench_fleet(args: argparse.Namespace) -> Dict:
             server = ShardedPolicyServer(
                 store=store,
                 num_shards=args.shards,
-                cache_size=8,
                 timeout=timeout,
                 retries=args.retries,
                 degraded=args.degraded,
@@ -1916,7 +1903,6 @@ def build_parser() -> argparse.ArgumentParser:
             "ShardedPolicyServer over the shared-memory transport; implies columnar)"
         ),
     )
-    serve.add_argument("--cache-size", type=int, default=8, help="compiled-policy LRU size (per shard)")
     serve.add_argument(
         "--timeout",
         type=float,
@@ -1990,7 +1976,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--shards", type=int, default=1, help="serving worker processes (1 = in-process)"
     )
-    fleet.add_argument("--cache-size", type=int, default=8, help="compiled-policy LRU size (per shard)")
     fleet.add_argument("--timeout", type=float, default=10.0, help="per-attempt shard timeout seconds")
     fleet.add_argument("--retries", type=int, default=2, help="re-dispatch attempts per failed slice")
     fleet.add_argument(

@@ -3,7 +3,7 @@
 The deployment half of the policy store.  ``CompiledTreePolicy`` turns a
 verified :class:`~repro.core.tree_policy.TreePolicy` into contiguous numpy
 arrays with a vectorised ``predict_batch``; ``PolicyServer`` fronts a
-:class:`~repro.store.PolicyStore` with an LRU of compiled policies and
+:class:`~repro.store.PolicyStore`, compiling each JSON-only policy once, and
 batches concurrent requests across buildings.  The native request API is
 columnar (:meth:`PolicyServer.serve_columnar` over
 :class:`~repro.data.PolicyRequestBatch`); the per-request object API is a

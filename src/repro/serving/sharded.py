@@ -5,8 +5,8 @@ lookup and the forest descent run on a single Python thread.
 :class:`ShardedPolicyServer` is the multi-core scale-out layer — it spawns N
 worker processes, each owning a full ``PolicyServer`` shard, and routes
 request rows to shards by a **stable hash of the policy id** so every
-compiled policy lives in exactly one worker's LRU (no duplicated
-compilation, no cross-shard cache churn).
+JSON-only policy is compiled in exactly one worker (no duplicated
+compilation across shards).
 
 The process boundary is crossed with zero copies of array payloads:
 requests and responses travel as
@@ -110,8 +110,8 @@ def shard_for_policy(policy_id: str, num_shards: int) -> int:
     """The shard that owns ``policy_id`` — stable across processes and runs.
 
     Uses CRC-32 rather than :func:`hash` (which is salted per interpreter),
-    so the same policy always resolves to the same shard: its compiled tree
-    is cached in exactly one worker's LRU and re-routing is deterministic.
+    so the same policy always resolves to the same shard: a JSON-only
+    policy is compiled in exactly one worker and re-routing is deterministic.
     """
     return zlib.crc32(str(policy_id).encode("utf-8")) % int(num_shards)
 
@@ -270,8 +270,6 @@ class ShardedPolicyServer:
     num_shards:
         Worker process count.  ``1`` serves in-process (no workers, no
         rings) behind the identical API.
-    cache_size:
-        Per-shard compiled-policy LRU size.
     ring_capacity:
         Bytes per shared-memory ring (one request + one response ring per
         shard).  Must hold the largest single batch routed to one shard.
@@ -313,7 +311,6 @@ class ShardedPolicyServer:
         self,
         store: Union[PolicyStore, str, None] = None,
         num_shards: int = 1,
-        cache_size: int = 8,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         start_method: Optional[str] = None,
         timeout: float = DEFAULT_TIMEOUT,
@@ -333,7 +330,6 @@ class ShardedPolicyServer:
                 f"degraded must be 'fail' or 'fallback', got {degraded!r}"
             )
         self.num_shards = int(num_shards)
-        self.cache_size = int(cache_size)
         self.ring_capacity = int(ring_capacity)
         self.timeout = float(timeout)
         self.retries = int(retries)
@@ -351,9 +347,7 @@ class ShardedPolicyServer:
         self._closed = False
         if self.num_shards == 1:
             # In-process fallback: identical API, zero process/ring tax.
-            self._local = PolicyServer(
-                store=self._store, cache_size=cache_size, arena=arena
-            )
+            self._local = PolicyServer(store=self._store, arena=arena)
             self._arena = self._local.arena
             self.arena_error = self._local.arena_error
             self._owns_arena = False  # the local server owns (and closes) it
@@ -374,7 +368,6 @@ class ShardedPolicyServer:
             context=multiprocessing.get_context(start_method),
             num_shards=self.num_shards,
             store_root=str(self._store.root) if self._store is not None else None,
-            cache_size=self.cache_size,
             ring_capacity=self.ring_capacity,
             heartbeat_interval=heartbeat_interval,
             arena_spec=arena_spec,
@@ -516,7 +509,6 @@ class ShardedPolicyServer:
                 "compile_count",
                 "cache_hits",
                 "cache_misses",
-                "evictions",
                 "arena_hits",
             )
         }
@@ -780,7 +772,6 @@ class ShardedPolicyServer:
             assert self._supervisor is not None
             server = PolicyServer(
                 store=self._store if self._store is not None else False,
-                cache_size=self.cache_size,
                 arena=self._arena if self._arena is not None else False,
             )
             for _, policy_id, payload in self._supervisor.registrations():

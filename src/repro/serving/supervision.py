@@ -18,8 +18,8 @@ mechanisms that turn a worker crash into latency instead of an outage:
 * **Registration journal.**  Cross-process ``register`` calls are recorded
   parent-side (:meth:`ShardSupervisor.record_registration`) and replayed
   into every replacement worker, so in-memory registered policies survive
-  restarts exactly like store-resolved ones (workers re-open the store
-  themselves).
+  restarts exactly like store-resolved ones (workers re-open the store and
+  arena themselves, and compile a JSON-only policy again on first use).
 
 * **Heartbeat monitor.**  A daemon thread sweeps the fleet every
   ``heartbeat_interval`` seconds: dead workers are restarted proactively,
@@ -89,7 +89,6 @@ def _sigterm_to_exit(signum: int, frame: Any) -> None:  # pragma: no cover - wor
 def shard_worker_main(
     shard_index: int,
     store_root: Optional[str],
-    cache_size: int,
     arena_spec: Union[str, bool],
     request_ring_name: str,
     response_ring_name: str,
@@ -139,9 +138,7 @@ def shard_worker_main(
         response_ring_name, generation=generation
     )
     server = PolicyServer(
-        store=store_root if store_root is not None else False,
-        cache_size=cache_size,
-        arena=arena_spec,
+        store=store_root if store_root is not None else False, arena=arena_spec
     )
     faults = FaultState()
     try:
@@ -272,8 +269,6 @@ class ShardSupervisor:
         on it).
     store_root:
         Policy-store root workers re-open on (re)start, or ``None``.
-    cache_size:
-        Per-shard compiled-policy LRU size.
     ring_capacity:
         Bytes per request/response ring.
     heartbeat_interval:
@@ -292,7 +287,6 @@ class ShardSupervisor:
         context: BaseContext,
         num_shards: int,
         store_root: Optional[str],
-        cache_size: int,
         ring_capacity: int,
         heartbeat_interval: Optional[float] = DEFAULT_HEARTBEAT_INTERVAL,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
@@ -306,7 +300,6 @@ class ShardSupervisor:
         #: Indirection point so tests can inject spawn failures.
         self._process_factory: Callable[..., BaseProcess] = context.Process
         self._store_root = store_root
-        self._cache_size = int(cache_size)
         self._arena_spec = arena_spec
         self._ring_capacity = int(ring_capacity)
         self._shards: Dict[int, ShardState] = {}
@@ -432,7 +425,6 @@ class ShardSupervisor:
                 args=(
                     index,
                     self._store_root,
-                    self._cache_size,
                     self._arena_spec,
                     request_ring.name,
                     response_ring.name,

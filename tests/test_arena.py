@@ -233,7 +233,7 @@ def test_server_falls_back_to_json_on_corrupt_arena(packed_store):
     store, arena_path, names = packed_store
     data = arena_path.read_bytes()
     arena_path.write_bytes(data[: len(data) - 40])
-    server = PolicyServer(store=store, cache_size=8)
+    server = PolicyServer(store=store)
     assert server.arena is None
     assert server.arena_error  # the reason is recorded, serving continues
     response = server.serve_columnar(
@@ -269,16 +269,17 @@ def test_resolve_arena_semantics(packed_store, tmp_path):
 # ----------------------------------------------------------------- serving
 def test_arena_first_resolution_and_eviction_noop(packed_store):
     store, _, names = packed_store
-    server = PolicyServer(store=store, cache_size=1)  # LRU of one: any miss evicts
+    server = PolicyServer(store=store)
     rng = np.random.default_rng(5)
     observations = rng.uniform(-6.0, 6.0, size=(len(names) * 4, N_FEATURES))
     assigned = np.array([names[i % len(names)] for i in range(len(observations))])
-    server.serve_columnar(
-        PolicyRequestBatch(policy_ids=assigned, observations=observations)
-    )
-    assert server.stats.arena_hits == len(names)
-    assert server.stats.compile_count == 0
-    assert server.stats.evictions == 0  # arena handles never enter the LRU
+    for _ in range(2):
+        server.serve_columnar(
+            PolicyRequestBatch(policy_ids=assigned, observations=observations)
+        )
+    # Arena policies are never compiled and never enter the in-memory forest.
+    assert server.stats.arena_hits == 2 * len(names)
+    assert server.stats.compile_count == server.stats.cache_hits == 0
     assert server.stats.arena_policies == len(names)
     assert server.stats.arena_bytes_mapped > 0
     server.close()
@@ -286,7 +287,7 @@ def test_arena_first_resolution_and_eviction_noop(packed_store):
 
 def test_mixed_registered_and_arena_serving(packed_store):
     store, _, names = packed_store
-    server = PolicyServer(store=store, cache_size=4)
+    server = PolicyServer(store=store)
     fresh = random_policy(77)
     server.register("pinned/summer/extra", fresh)
     ids = np.array(["pinned/summer/extra", names[0], names[1]])
@@ -308,7 +309,7 @@ def test_sharded_arena_matches_single_and_survives_kill(packed_store):
     assigned = np.array([names[i % len(names)] for i in range(rows)])
     batch = PolicyRequestBatch(policy_ids=assigned, observations=observations)
 
-    single = PolicyServer(store=store, cache_size=8, arena=True)
+    single = PolicyServer(store=store, arena=True)
     expected = single.serve_columnar(batch).action_indices
     single.close()
 

@@ -267,7 +267,7 @@ def test_select_actions_batch_accepts_observation_batch():
 def test_serve_columnar_matches_legacy_order_and_actions(tmp_path):
     from repro.serving import PolicyRequest, PolicyServer
 
-    server = PolicyServer(store=str(tmp_path), cache_size=4)
+    server = PolicyServer(store=str(tmp_path))
     ids = []
     for seed in range(3):
         policy_id = f"building-{seed}"
@@ -311,7 +311,7 @@ def test_serve_columnar_matches_legacy_order_and_actions(tmp_path):
 def test_serve_columnar_single_policy_and_empty_and_unknown(tmp_path):
     from repro.serving import PolicyServer, UnknownPolicyError
 
-    server = PolicyServer(store=str(tmp_path), cache_size=2)
+    server = PolicyServer(store=str(tmp_path))
     server.register("lone", random_policy(5))
     observations = np.random.default_rng(1).uniform(-6, 6, size=(33, N_FEATURES))
     response = server.serve_columnar(
@@ -332,6 +332,32 @@ def test_serve_columnar_single_policy_and_empty_and_unknown(tmp_path):
         server.serve_columnar(
             PolicyRequestBatch.single_policy("missing", observations[:1])
         )
+
+
+def test_serve_columnar_decodes_a_byte_string_id_column(tmp_path):
+    from repro.serving import PolicyServer
+
+    server = PolicyServer(store=str(tmp_path))
+    ids = [f"building-{seed}" for seed in range(3)]
+    for seed, policy_id in enumerate(ids):
+        server.register(policy_id, random_policy(seed))
+    rng = np.random.default_rng(11)
+    assigned = np.array(ids)[rng.integers(0, len(ids), size=64)]
+    observations = rng.uniform(-6.0, 6.0, size=(64, N_FEATURES))
+
+    as_str = server.serve_columnar(
+        PolicyRequestBatch(policy_ids=assigned, observations=observations)
+    )
+    as_bytes = server.serve_columnar(
+        PolicyRequestBatch(
+            policy_ids=np.char.encode(assigned, "utf-8"), observations=observations
+        )
+    )
+    assert as_bytes.policy_ids.dtype.kind == "U"
+    assert np.array_equal(as_bytes.policy_ids, assigned)
+    assert np.array_equal(as_bytes.action_indices, as_str.action_indices)
+    assert np.array_equal(as_bytes.heating_setpoints, as_str.heating_setpoints)
+    assert np.array_equal(as_bytes.cooling_setpoints, as_str.cooling_setpoints)
 
 
 # ----------------------------------------------------- float32 dtype policy

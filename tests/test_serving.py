@@ -113,7 +113,7 @@ def test_forest_rejects_mixed_dimensions():
 
 # ------------------------------------------------------------------ server
 def test_server_batches_across_policies(tmp_path):
-    server = PolicyServer(store=str(tmp_path), cache_size=4)
+    server = PolicyServer(store=str(tmp_path))
     policies = {f"building-{i}": random_policy(i + 40) for i in range(3)}
     for policy_id, policy in policies.items():
         server.register(policy_id, policy)
@@ -150,14 +150,14 @@ def test_server_lru_eviction_and_store_resolution(tmp_path):
     ids = [entry.key.name for entry in store.entries()]
     assert len(ids) == 2
 
-    server = PolicyServer(store=store, cache_size=1)
+    server = PolicyServer(store=store)
     observation = np.full(N_FEATURES, 20.0)
     server.serve_one(ids[0], observation)
-    server.serve_one(ids[1], observation)  # evicts ids[0]
-    server.serve_one(ids[0], observation)  # recompiles
-    assert server.stats.evictions >= 1
-    assert server.stats.compile_count == 3
-    assert server.stats.cache_misses == 3
+    server.serve_one(ids[1], observation)
+    server.serve_one(ids[0], observation)  # compiled once, served again
+    assert server.stats.compile_count == 2
+    assert server.stats.cache_misses == 2
+    assert server.stats.cache_hits == 1
 
     with pytest.raises(UnknownPolicyError):
         server.serve_one("no/such/policy", observation)
@@ -258,7 +258,7 @@ def test_mixed_batch_is_action_exact_at_extracted_tree_depth(tmp_path, dtype):
     arena_ids = [_put(store, seed, trees[seed][0]) for seed in range(3)]
     store.pack()
     json_ids = [_put(store, seed, trees[seed][0]) for seed in (3, 4)]  # JSON-only
-    server = PolicyServer(store=store, cache_size=8)
+    server = PolicyServer(store=store)
     assert server._arena_forest is not None
     # Trees 5 and 6 are registered, tree 6 under an arena id: it shadows tree 0.
     server.register("pinned/extra", trees[5][0])
@@ -293,7 +293,7 @@ def test_more_json_only_ids_in_one_batch_than_the_cache_holds(tmp_path):
     policies = {_put(store, seed, random_policy(seed + 60)): None for seed in range(6)}
     for policy_id in policies:
         policies[policy_id] = store.find(policy_id).policy
-    server = PolicyServer(store=store, cache_size=2, arena=False)
+    server = PolicyServer(store=store, arena=False)
     rng = np.random.default_rng(4)
     ids = np.array(list(policies))[rng.integers(0, len(policies), size=500)]
     observations = rng.uniform(-6.0, 6.0, size=(500, N_FEATURES))
@@ -304,14 +304,12 @@ def test_more_json_only_ids_in_one_batch_than_the_cache_holds(tmp_path):
         expected[ids == policy_id] = policy.predict_action_indices(observations[ids == policy_id])
 
     assert np.array_equal(server.serve_columnar(batch).action_indices, expected)
-    # What resolving each of the six policies in turn reports: six misses and
-    # compiles, and four evictions from an LRU of two.
+    # Each of the six policies is compiled once: six misses and compiles.
     stats = server.stats
-    assert (stats.compile_count, stats.cache_misses, stats.evictions) == (6, 6, 4)
-    assert stats.cache_hits == 0
-    # Again: the two policies the LRU kept are hits, the other four reload.
+    assert (stats.compile_count, stats.cache_misses, stats.cache_hits) == (6, 6, 0)
+    # Again: all six are hits, and nothing is compiled twice.
     assert np.array_equal(server.serve_columnar(batch).action_indices, expected)
-    assert (stats.cache_hits, stats.compile_count, stats.cache_misses) == (2, 10, 10)
+    assert (stats.cache_hits, stats.compile_count, stats.cache_misses) == (6, 6, 6)
 
 
 def test_a_miss_after_lru_hits_keeps_every_row_on_its_own_tree(tmp_path):
@@ -321,7 +319,7 @@ def test_a_miss_after_lru_hits_keeps_every_row_on_its_own_tree(tmp_path):
     store = PolicyStore(tmp_path)
     p, q, r = (_put(store, seed, random_policy(seed + 80)) for seed in range(3))
     policies = {policy_id: store.find(policy_id).policy for policy_id in (p, q, r)}
-    server = PolicyServer(store=store, cache_size=4, arena=False)
+    server = PolicyServer(store=store, arena=False)
     rng = np.random.default_rng(6)
     tally = {}
     for ids in ([p, q], [p], [p, r]):
@@ -349,7 +347,7 @@ def test_failed_batches_leave_stats_untouched(tmp_path):
         observations = rng.uniform(-6.0, 6.0, size=(len(ids), width))
         return PolicyRequestBatch(policy_ids=np.array(ids), observations=observations)
 
-    server = PolicyServer(store=store, cache_size=4)
+    server = PolicyServer(store=store)
     server.register("a", random_policy(72))
     server.register("b", random_policy(73))
     with pytest.raises(UnknownPolicyError):
@@ -374,6 +372,40 @@ def test_failed_batches_leave_stats_untouched(tmp_path):
     # The JSON policy loaded by the failed batches never reached the LRU.
     server.serve_columnar(batch([json_id]))
     assert server.stats.cache_misses == server.stats.compile_count == 1
+    server.close()
+
+
+def test_registering_a_served_id_serves_the_newest_tree(tmp_path):
+    store = PolicyStore(tmp_path)
+    arena_id = _put(store, 0, random_policy(90))
+    store.pack()
+    json_id = _put(store, 1, random_policy(91))  # JSON-only
+    server = PolicyServer(store=store)
+    rng = np.random.default_rng(10)
+    tally = {}
+
+    def serve_and_check(policies):
+        ids = np.array(list(policies))[rng.integers(0, len(policies), size=200)]
+        observations = rng.uniform(-6.0, 6.0, size=(200, N_FEATURES))
+        response = server.serve_columnar(PolicyRequestBatch(policy_ids=ids, observations=observations))
+        for policy_id, policy in policies.items():
+            picked = ids == policy_id
+            expected = policy.predict_action_indices(observations[picked])
+            assert np.array_equal(response.action_indices[picked], expected), policy_id
+            setpoints = np.asarray(policy.action_pairs)[expected]
+            assert np.array_equal(response.heating_setpoints[picked], setpoints[:, 0])
+            assert np.array_equal(response.cooling_setpoints[picked], setpoints[:, 1])
+            tally[policy_id] = tally.get(policy_id, 0) + int(picked.sum())
+        assert server.stats.per_policy_requests == tally
+
+    serve_and_check({policy_id: store.find(policy_id).policy for policy_id in (arena_id, json_id)})
+    # Register a tree under each served id, then register another over it.
+    for seed in (92, 94):
+        newest = {arena_id: random_policy(seed), json_id: random_policy(seed + 1)}
+        for policy_id, policy in newest.items():
+            server.register(policy_id, policy)
+        serve_and_check(newest)
+    assert server.stats.compile_count == 1
     server.close()
 
 

@@ -201,7 +201,7 @@ def policies():
 
 
 def test_sharded_matches_single_process_on_mixed_batches(tmp_path, policies):
-    single = PolicyServer(store=str(tmp_path), cache_size=8)
+    single = PolicyServer(store=str(tmp_path))
     for policy_id, policy in policies.items():
         single.register(policy_id, policy)
     with ShardedPolicyServer(store=str(tmp_path), num_shards=3) as fleet:
@@ -258,7 +258,7 @@ def test_sharded_store_resolution_matches_single_process(tmp_path):
     for seed in (61, 62):
         VerifiedPolicyPipeline(PipelineConfig.tiny(seed=seed, **tiny), store=store).run()
     ids = [entry.key.name for entry in store.entries()]
-    single = PolicyServer(store=store, cache_size=4)
+    single = PolicyServer(store=store)
     batch = mixed_batch(9, 300, ids)
     expected = single.serve_columnar(batch)
     with ShardedPolicyServer(store=store, num_shards=2) as fleet:
@@ -278,7 +278,7 @@ def test_in_process_fallback_spawns_no_workers(tmp_path, policies):
     response = fallback.serve_columnar(batch)
     assert not fallback.started
     assert fallback.ping()[0]["in_process"] is True
-    single = PolicyServer(store=str(tmp_path), cache_size=8)
+    single = PolicyServer(store=str(tmp_path))
     for policy_id, policy in policies.items():
         single.register(policy_id, policy)
     assert np.array_equal(
