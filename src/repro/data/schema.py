@@ -1,13 +1,9 @@
 """The columnar batch schema shared by every layer boundary.
 
-Before this module, each layer of the system spoke its own dialect at its
-boundary: the batched environment emitted dicts of arrays, agents unpacked
-them back into arrays, and the policy server traded per-request dataclasses.
-Each hop paid an object-conversion tax that, once the kernels themselves were
-vectorised, dominated the hot paths (the ``PolicyServer`` front door most of
-all).
-
-The types below are contiguous, dtype-declared structs-of-arrays:
+Each hop between layers (the batched environment to the agents, a caller
+to the policy server) passes contiguous, dtype-declared structs-of-arrays,
+so no hop pays a per-row object-conversion tax on top of the vectorised
+kernels:
 
 * :class:`ObservationBatch` — ``(B, F)`` Table-1 observation rows,
 * :class:`ActionBatch` — ``(B,)`` discrete action indices (plus optional
@@ -37,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     ClassVar,
@@ -52,9 +47,6 @@ from typing import (
 
 import numpy as np
 from numpy.typing import NDArray
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.server import PolicyResponse
 
 #: The float dtypes the data plane understands. ``float64`` is the bit-exact
 #: reference; ``float32`` is the opt-in inference fast path.
@@ -593,16 +585,6 @@ class PolicyRequestBatch(ColumnarBatch):
             observations=observations,
         )
 
-    @classmethod
-    def from_requests(cls, requests: Sequence[Any]) -> "PolicyRequestBatch":
-        """Adapter from legacy per-request objects (``PolicyRequest``)."""
-        return cls(
-            policy_ids=np.asarray([r.policy_id for r in requests], dtype=np.str_),
-            observations=np.asarray(
-                [r.observation for r in requests], dtype=np.float64
-            ),
-        )
-
 
 @dataclass
 class PolicyResponseBatch(ColumnarBatch):
@@ -623,17 +605,3 @@ class PolicyResponseBatch(ColumnarBatch):
     def setpoint_pairs(self) -> NDArray[Any]:
         """``(B, 2)`` (heating, cooling) pairs."""
         return np.column_stack([self.heating_setpoints, self.cooling_setpoints])
-
-    def to_responses(self) -> List["PolicyResponse"]:
-        """Adapter to legacy per-request ``PolicyResponse`` objects."""
-        from repro.serving.server import PolicyResponse
-
-        return [
-            PolicyResponse(
-                policy_id=str(self.policy_ids[i]),
-                action_index=int(self.action_indices[i]),
-                heating_setpoint=int(self.heating_setpoints[i]),
-                cooling_setpoint=int(self.cooling_setpoints[i]),
-            )
-            for i in range(len(self))
-        ]

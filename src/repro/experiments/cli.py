@@ -18,7 +18,7 @@ Examples::
     python -m repro run --agent dt --climate hot_humid --season summer
     python -m repro extract --climate tucson --preset tiny --save policy.json
     python -m repro extract --preset tiny --dtype float32
-    python -m repro serve --requests 100000 --batch-size 512 --columnar
+    python -m repro serve --requests 100000 --batch-size 512
     python -m repro serve --requests 500000 --batch-size 8192 --shards 4
     python -m repro bench --target serve-columnar --rows 100000
     python -m repro bench --target serve-sharded --rows 200000 --shards 4
@@ -264,12 +264,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.serving import (
-        PolicyRequest,
-        PolicyRequestBatch,
-        PolicyServer,
-        ShardedPolicyServer,
-    )
+    from repro.serving import PolicyRequestBatch, ShardedPolicyServer
 
     if args.requests <= 0:
         raise CLIError("--requests must be positive")
@@ -283,21 +278,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # --arena maps straight onto resolve_arena(): absent -> auto-detect,
     # bare flag -> require, PATH -> open that file.
     arena = True if args.arena is True else (args.arena if args.arena else None)
-    sharded = args.shards > 1
-    if sharded:
-        # The sharded fleet speaks columnar natively; the per-request object
-        # stream makes no sense across a process boundary.
-        server = _resolve(
-            ShardedPolicyServer,
-            store=store,
-            num_shards=args.shards,
-            timeout=args.timeout,
-            retries=args.retries,
-            degraded=args.degraded,
-            arena=arena,
-        )
-    else:
-        server = _resolve(PolicyServer, store=store, arena=arena)
+    # One server for every shard count: at --shards 1 it is an in-process
+    # PolicyServer behind the same API, with no workers to spawn.
+    server = _resolve(
+        ShardedPolicyServer,
+        store=store,
+        num_shards=args.shards,
+        timeout=args.timeout,
+        retries=args.retries,
+        degraded=args.degraded,
+        arena=arena,
+    )
     if server.arena_error:
         print(f"arena skipped: {server.arena_error}")
     policy_ids = [entry.key.name for entry in store.entries()]
@@ -312,27 +303,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     served = 0
     start = time.perf_counter()
     try:
-        if args.columnar or sharded:
-            # Arrays in, arrays out: no per-request python objects anywhere.
-            while served < args.requests:
-                stop = min(served + args.batch_size, args.requests)
-                server.serve_columnar(
-                    PolicyRequestBatch(
-                        policy_ids=assigned[served:stop],
-                        observations=observations[served:stop],
-                    )
+        while served < args.requests:
+            stop = min(served + args.batch_size, args.requests)
+            server.serve_columnar(
+                PolicyRequestBatch(
+                    policy_ids=assigned[served:stop],
+                    observations=observations[served:stop],
                 )
-                served = stop
-        else:
-            while served < args.requests:
-                batch = [
-                    PolicyRequest(policy_id=assigned[i], observation=observations[i])
-                    for i in range(served, min(served + args.batch_size, args.requests))
-                ]
-                server.serve(batch)
-                served += len(batch)
+            )
+            served = stop
         wall = time.perf_counter() - start
-        stats = server.stats() if sharded else server.stats.to_dict()
+        stats = server.stats()
     finally:
         # A serving error must not strand the worker fleet, its rings, or an
         # arena mapping the server opened itself.
@@ -340,7 +321,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     summary = {
         "requests": served,
         "batch_size": args.batch_size,
-        "columnar": bool(args.columnar or sharded),
         "shards": args.shards,
         "policies": len(policy_ids),
         "wall_seconds": wall,
@@ -349,13 +329,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     }
     print(
         format_table(
-            ["requests", "policies", "batch", "columnar", "shards", "wall s", "req/s"],
-            [[served, len(policy_ids), args.batch_size,
-              str(bool(args.columnar or sharded)), args.shards,
+            ["requests", "policies", "batch", "shards", "wall s", "req/s"],
+            [[served, len(policy_ids), args.batch_size, args.shards,
               round(wall, 4), round(summary["requests_per_second"], 1)]],
         )
     )
-    supervisor = stats.get("supervisor") if sharded else None
+    supervisor = stats.get("supervisor")
     if supervisor:
         # Fleet health: one row per shard from the supervisor's describe().
         print(
@@ -764,7 +743,9 @@ def _bench_serve(args: argparse.Namespace) -> Dict:
     run), re-resolves the same configuration (timing the pure cache hit),
     then measures recursive per-row traversal against the compiled
     ``predict_batch`` on an identical input batch and checks the actions are
-    exactly equal.
+    exactly equal.  ``server_requests_per_second`` times the same rows
+    through ``PolicyServer.serve_columnar`` in 512-row single-policy batches,
+    after one untimed batch compiles the policy.
     """
     import tempfile
     import time
@@ -772,7 +753,7 @@ def _bench_serve(args: argparse.Namespace) -> Dict:
     import numpy as np
 
     from repro.core.pipeline import PipelineConfig, VerifiedPolicyPipeline
-    from repro.serving import PolicyRequest, PolicyServer
+    from repro.serving import PolicyRequestBatch, PolicyServer
     from repro.store import PolicyStore
     from repro.weather.climates import get_climate
 
@@ -801,15 +782,15 @@ def _bench_serve(args: argparse.Namespace) -> Dict:
         batched = compiled.predict_batch(inputs)
         compiled_seconds = time.perf_counter() - start
 
-        # End-to-end front door: request objects + grouping + response objects.
+        # End-to-end front door: id lookup, width check, forest descent.
         server = PolicyServer(store=store)
         policy_id = store.entries()[0].key.name
-        requests = [
-            PolicyRequest(policy_id=policy_id, observation=row) for row in inputs
-        ]
+        server.serve_columnar(PolicyRequestBatch.single_policy(policy_id, inputs[:512]))
         start = time.perf_counter()
-        for offset in range(0, len(requests), 512):
-            server.serve(requests[offset : offset + 512])
+        for offset in range(0, len(inputs), 512):
+            server.serve_columnar(
+                PolicyRequestBatch.single_policy(policy_id, inputs[offset : offset + 512])
+            )
         server_seconds = time.perf_counter() - start
 
     return {
@@ -831,14 +812,15 @@ def _bench_serve(args: argparse.Namespace) -> Dict:
 
 
 def _bench_serve_columnar(args: argparse.Namespace) -> Dict:
-    """Columnar vs legacy front-door throughput on a mixed-building stream.
+    """Columnar front door vs the recursive reference on a mixed-building stream.
 
     Extracts two tiny policies (different seeds) into a scratch store so
-    every chunk genuinely interleaves buildings, then pushes the same
-    request stream through the legacy object API (``serve``) and the
-    columnar API (``serve_columnar``) and checks the actions match
-    exactly.  This isolates the object-conversion tax the columnar data
-    plane removes: the tree kernel underneath is identical.
+    every chunk genuinely interleaves buildings, then answers the same
+    request stream twice: through ``serve_columnar``, timed after one
+    untimed batch compiles both policies, and through the recursive
+    ``TreePolicy.predict_action_indices`` walk, chunk by chunk and policy by
+    policy.  The actions must match exactly.  The reference shares no code
+    with the compiled forest, so a fast-but-wrong descent cannot pass.
     """
     import tempfile
     import time
@@ -846,7 +828,7 @@ def _bench_serve_columnar(args: argparse.Namespace) -> Dict:
     import numpy as np
 
     from repro.core.pipeline import PipelineConfig, VerifiedPolicyPipeline
-    from repro.serving import PolicyRequest, PolicyRequestBatch, PolicyServer
+    from repro.serving import PolicyRequestBatch, PolicyServer
     from repro.store import PolicyStore
     from repro.weather.climates import get_climate
 
@@ -861,25 +843,25 @@ def _bench_serve_columnar(args: argparse.Namespace) -> Dict:
             VerifiedPolicyPipeline(config, store=store).run()
         server = PolicyServer(store=store)
         policy_ids = [entry.key.name for entry in store.entries()]
-        dim = store.find(policy_ids[0]).policy.input_dim
+        policies = {policy_id: store.find(policy_id).policy for policy_id in policy_ids}
+        dim = policies[policy_ids[0]].input_dim
 
         rng = np.random.default_rng(args.seed)
         observations = _synthetic_observations(rng, args.rows, dim)
         assigned = np.array([policy_ids[i % len(policy_ids)] for i in range(args.rows)])
 
-        requests = [
-            PolicyRequest(policy_id=assigned[i], observation=observations[i])
-            for i in range(args.rows)
-        ]
         start = time.perf_counter()
-        legacy_actions = np.empty(args.rows, dtype=np.int64)
+        reference_actions = np.empty(args.rows, dtype=np.int64)
         for lo in range(0, args.rows, chunk):
-            responses = server.serve(requests[lo : lo + chunk])
-            legacy_actions[lo : lo + len(responses)] = [
-                r.action_index for r in responses
-            ]
-        legacy_seconds = time.perf_counter() - start
+            ids = assigned[lo : lo + chunk]
+            for policy_id, policy in policies.items():
+                rows = lo + np.flatnonzero(ids == policy_id)
+                reference_actions[rows] = policy.predict_action_indices(observations[rows])
+        reference_seconds = time.perf_counter() - start
 
+        server.serve_columnar(
+            PolicyRequestBatch(policy_ids=assigned[:chunk], observations=observations[:chunk])
+        )
         start = time.perf_counter()
         columnar_actions = np.empty(args.rows, dtype=np.int64)
         for lo in range(0, args.rows, chunk):
@@ -897,10 +879,10 @@ def _bench_serve_columnar(args: argparse.Namespace) -> Dict:
         "rows": args.rows,
         "batch_size": chunk,
         "policies": len(policy_ids),
-        "actions_identical": bool(np.array_equal(legacy_actions, columnar_actions)),
-        "legacy_requests_per_second": args.rows / max(legacy_seconds, 1e-12),
+        "actions_identical": bool(np.array_equal(reference_actions, columnar_actions)),
+        "reference_requests_per_second": args.rows / max(reference_seconds, 1e-12),
         "columnar_requests_per_second": args.rows / max(columnar_seconds, 1e-12),
-        "speedup": legacy_seconds / max(columnar_seconds, 1e-12),
+        "speedup": reference_seconds / max(columnar_seconds, 1e-12),
     }
 
 
@@ -1890,17 +1872,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=int, default=10000, help="total requests to serve")
     serve.add_argument("--batch-size", type=int, default=256, help="requests per server batch")
     serve.add_argument(
-        "--columnar",
-        action="store_true",
-        help="drive the columnar front door (PolicyRequestBatch; arrays in, arrays out)",
-    )
-    serve.add_argument(
         "--shards",
         type=int,
         default=1,
         help=(
-            "worker processes for the sharded server (>1 spawns a "
-            "ShardedPolicyServer over the shared-memory transport; implies columnar)"
+            "worker processes for the sharded server (1 serves in process; "
+            ">1 spawns workers over the shared-memory transport)"
         ),
     )
     serve.add_argument(
@@ -2066,9 +2043,9 @@ def build_parser() -> argparse.ArgumentParser:
         ],
         help=(
             "what to benchmark: rollouts, decision-dataset distillation, policy "
-            "serving, the columnar vs legacy serving front door, the "
-            "multi-process sharded server vs single-process columnar, "
-            "fleet recovery under injected kill/hang faults, the packed "
+            "serving, the columnar serving front door vs the recursive "
+            "reference, the multi-process sharded server vs single-process "
+            "columnar, fleet recovery under injected kill/hang faults, the packed "
             "arena vs per-file JSON cold load, the "
             "closed-loop fleet (throughput + canary/rollback floors), or the "
             "agent × fault robustness table (comfort/energy per disturbance)"

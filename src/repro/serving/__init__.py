@@ -4,12 +4,11 @@ The deployment half of the policy store.  ``CompiledTreePolicy`` turns a
 verified :class:`~repro.core.tree_policy.TreePolicy` into contiguous numpy
 arrays with a vectorised ``predict_batch``; ``PolicyServer`` fronts a
 :class:`~repro.store.PolicyStore`, compiling each JSON-only policy once, and
-batches concurrent requests across buildings.  The native request API is
-columnar (:meth:`PolicyServer.serve_columnar` over
-:class:`~repro.data.PolicyRequestBatch`); the per-request object API is a
-thin adapter over it.  ``ShardedPolicyServer`` scales the same front door
-across N worker processes over the zero-copy shared-memory transport
-(:mod:`repro.data.shm`), with a self-healing ``ShardSupervisor``
+batches concurrent requests across buildings.  The request API is columnar
+(:meth:`PolicyServer.serve_columnar` over
+:class:`~repro.data.PolicyRequestBatch`).  ``ShardedPolicyServer`` scales the
+same front door across N worker processes over the zero-copy shared-memory
+transport (:mod:`repro.data.shm`), with a self-healing ``ShardSupervisor``
 (:mod:`repro.serving.supervision`) restarting dead or hung workers behind
 retry/deadline/degraded-fallback semantics, exercised by the deterministic
 fault-injection harness in :mod:`repro.serving.faults`.  Resolution is
@@ -22,13 +21,7 @@ mapping.  Driven by ``repro serve`` (``--shards N`` for the sharded fleet,
 
 from repro.data import PolicyRequestBatch, PolicyResponseBatch
 from repro.serving.compiled import CompiledTreeForest, CompiledTreePolicy
-from repro.serving.server import (
-    PolicyRequest,
-    PolicyResponse,
-    PolicyServer,
-    ServerStats,
-    UnknownPolicyError,
-)
+from repro.serving.server import PolicyServer, ServerStats, UnknownPolicyError
 from repro.serving.faults import FAULT_KINDS, Fault, FaultPlan, FaultState
 from repro.serving.sharded import (
     FleetStats,
@@ -48,9 +41,7 @@ __all__ = [
     "FaultPlan",
     "FaultState",
     "FleetStats",
-    "PolicyRequest",
     "PolicyRequestBatch",
-    "PolicyResponse",
     "PolicyResponseBatch",
     "PolicyServer",
     "ServerStats",

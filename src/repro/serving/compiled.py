@@ -287,10 +287,6 @@ class CompiledTreePolicy:
         """(heating, cooling) setpoint pairs for a batch, shape ``(rows, 2)``."""
         return self.action_pairs[self.predict_batch(inputs)]
 
-    def predict_action_index(self, policy_input: NDArray[Any]) -> int:
-        """Single-request convenience mirroring ``TreePolicy.predict_action_index``."""
-        return int(self.predict_batch(np.asarray(policy_input, dtype=float).reshape(1, -1))[0])
-
 
 class CompiledTreeForest:
     """Many compiled trees in concatenated arrays, descended in one pass.

@@ -4,7 +4,7 @@
 :class:`~repro.store.PolicyStore` and answers request batches that may mix
 any number of buildings.
 
-The native endpoint is columnar: :meth:`PolicyServer.serve_columnar` takes a
+The endpoint is columnar: :meth:`PolicyServer.serve_columnar` takes a
 :class:`~repro.data.PolicyRequestBatch` (a building-id column plus a
 ``(B, F)`` observation matrix) and returns a
 :class:`~repro.data.PolicyResponseBatch` — arrays in, arrays out.  The server
@@ -17,22 +17,22 @@ policies and JSON-only policies compiled on first use.  The in-memory forest
 only grows, so a handle never changes meaning.  Every row then descends its
 own tree in one vectorised pass per forest present in the batch, with no
 grouping, sorting, per-policy loop or scatter.  No per-request python
-objects exist anywhere on this path; the legacy object API
-(:meth:`PolicyServer.serve` over :class:`PolicyRequest`) is a thin adapter
-on top of it.
+objects exist anywhere on this path.
 
 Transport (HTTP, MQTT, a BMS bridge) is deliberately out of scope: the
 related SCADA repos show that layer is deployment-specific, while the
 batching and store-resolution logic below is what every deployment shares.
-``repro serve`` (and ``repro serve --columnar``) drives this class with a
-synthetic request stream to measure the serving ceiling.
+``repro serve`` drives this class through a
+:class:`~repro.serving.sharded.ShardedPolicyServer` (in process at
+``--shards 1``) with a synthetic request stream to measure the serving
+ceiling.
 """
 
 from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -48,24 +48,6 @@ from repro.store import (
     resolve_arena,
     resolve_store,
 )
-
-
-@dataclass(frozen=True)
-class PolicyRequest:
-    """One setpoint query: which policy (building) and the current observation."""
-
-    policy_id: str
-    observation: Sequence[float]
-
-
-@dataclass(frozen=True)
-class PolicyResponse:
-    """The served decision for one request."""
-
-    policy_id: str
-    action_index: int
-    heating_setpoint: int
-    cooling_setpoint: int
 
 
 @dataclass
@@ -367,21 +349,3 @@ class PolicyServer:
             heating_setpoints=pairs[:, 0],
             cooling_setpoints=pairs[:, 1],
         )
-
-    def serve(self, requests: Sequence[PolicyRequest]) -> List[PolicyResponse]:
-        """Answer one batch of legacy per-request objects.
-
-        A thin adapter over :meth:`serve_columnar`: requests are packed into
-        one :class:`~repro.data.PolicyRequestBatch`, served on the columnar
-        path, and unpacked back into :class:`PolicyResponse` objects in
-        request order.  Semantics (stats, errors) are identical.
-        """
-        if not requests:
-            return []
-        return self.serve_columnar(
-            PolicyRequestBatch.from_requests(requests)
-        ).to_responses()
-
-    def serve_one(self, policy_id: str, observation: Sequence[float]) -> PolicyResponse:
-        """Single-request convenience (a batch of one)."""
-        return self.serve([PolicyRequest(policy_id=policy_id, observation=observation)])[0]

@@ -51,7 +51,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,7 +63,7 @@ from repro.data.shm import (
     ShmTransportError,
 )
 from repro.serving.faults import Fault
-from repro.serving.server import PolicyRequest, PolicyResponse, PolicyServer
+from repro.serving.server import PolicyServer
 from repro.serving.supervision import (
     DEFAULT_HEARTBEAT_INTERVAL,
     ShardedServingError,
@@ -277,8 +277,8 @@ class ShardedPolicyServer:
         ``multiprocessing`` start method; default ``fork`` where available
         (fast), else ``spawn``.
     timeout:
-        Seconds to wait on a worker reply **per attempt** before treating
-        the shard as unresponsive (and restarting it).
+        Seconds (positive) to wait on a worker reply **per attempt** before
+        treating the shard as unresponsive (and restarting it).
     retries:
         How many re-dispatch attempts a failed slice gets after the first;
         each retry restarts the failed shard and backs off exponentially.
@@ -325,6 +325,8 @@ class ShardedPolicyServer:
             raise ValueError("num_shards must be at least 1")
         if retries < 0:
             raise ValueError("retries must be non-negative")
+        if not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
         if degraded not in ("fail", "fallback"):
             raise ValueError(
                 f"degraded must be 'fail' or 'fallback', got {degraded!r}"
@@ -618,14 +620,6 @@ class ShardedPolicyServer:
         assert self._supervisor is not None
         with self._supervisor.lock:
             return self._serve_fleet(batch, rows)
-
-    def serve(self, requests: Sequence[PolicyRequest]) -> List[PolicyResponse]:
-        """Legacy object adapter, mirroring ``PolicyServer.serve``."""
-        if not requests:
-            return []
-        return self.serve_columnar(
-            PolicyRequestBatch.from_requests(requests)
-        ).to_responses()
 
     # -------------------------------------------------------------- internals
     def _ensure_started(self) -> None:

@@ -194,7 +194,7 @@ class TestSchemaContract:
             "serving/server.py": """
                 from data.schema import ActionBatch
 
-                def serve(batch: ActionBatch):
+                def answer(batch: ActionBatch):
                     return batch.indicies.sum()
             """,
         })
@@ -208,7 +208,7 @@ class TestSchemaContract:
             "serving/server.py": """
                 from data.schema import ActionBatch
 
-                def serve(batch: ActionBatch):
+                def answer(batch: ActionBatch):
                     sub = batch.take([0])
                     return batch.indices.sum() + sub.head() + len(batch.COLUMNS)
             """,

@@ -355,7 +355,7 @@ def test_cli_pack_verify_and_serve_arena(packed_store, tmp_path, capsys):
     stats_path = tmp_path / "stats.json"
     assert main([
         "serve", "--store", str(store.root), "--arena",
-        "--requests", "64", "--batch-size", "16", "--columnar",
+        "--requests", "64", "--batch-size", "16",
         "--stats-json", str(stats_path),
     ]) == 0
     stats = json.loads(stats_path.read_text())

@@ -4,7 +4,8 @@ Three layers of guarantees:
 
 * the schema types themselves (validation, slicing, concat, numpy interop),
 * every columnar layer boundary produces exactly what the legacy object path
-  produced — env infos, agent action batches, server responses,
+  produced — env infos, agent action batches — and server responses match
+  the recursive tree reference row for row,
 * the float32 dynamics fast path tracks the float64 reference closely enough
   that distilled labels agree (the acceptance bar is >= 99.5%).
 """
@@ -263,49 +264,42 @@ def test_select_actions_batch_accepts_observation_batch():
     ]
 
 
-# ------------------------------------------------ serving: columnar vs legacy
-def test_serve_columnar_matches_legacy_order_and_actions(tmp_path):
-    from repro.serving import PolicyRequest, PolicyServer
+# --------------------------------------------- serving: columnar vs reference
+def test_serve_columnar_keeps_request_order_and_actions(tmp_path):
+    from repro.serving import PolicyServer
 
     server = PolicyServer(store=str(tmp_path))
-    ids = []
-    for seed in range(3):
-        policy_id = f"building-{seed}"
-        server.register(policy_id, random_policy(seed))
-        ids.append(policy_id)
+    policies = {f"building-{seed}": random_policy(seed) for seed in range(3)}
+    for policy_id, policy in policies.items():
+        server.register(policy_id, policy)
+    ids = list(policies)
 
     rng = np.random.default_rng(7)
     rows = 257  # deliberately not a multiple of the policy count
     observations = rng.uniform(-6.0, 6.0, size=(rows, N_FEATURES))
-    # Shuffled interleaving: grouping must restore exact request order.
+    # Shuffled interleaving: every row must come back in request order.
     assigned = np.array([ids[i] for i in rng.integers(0, len(ids), size=rows)])
+    batch = PolicyRequestBatch(policy_ids=assigned, observations=observations)
 
-    legacy = server.serve(
-        [
-            PolicyRequest(policy_id=assigned[i], observation=observations[i])
-            for i in range(rows)
-        ]
-    )
-    columnar = server.serve_columnar(
-        PolicyRequestBatch(policy_ids=assigned, observations=observations)
-    )
-    assert isinstance(columnar, PolicyResponseBatch)
-    assert len(columnar) == rows
-    for i, response in enumerate(legacy):
-        assert response.policy_id == str(columnar.policy_ids[i])
-        assert response.action_index == int(columnar.action_indices[i])
-        assert response.heating_setpoint == int(columnar.heating_setpoints[i])
-        assert response.cooling_setpoint == int(columnar.cooling_setpoints[i])
-    # The adapter and the native path share stats bookkeeping.
+    for _ in range(2):
+        columnar = server.serve_columnar(batch)
+        assert isinstance(columnar, PolicyResponseBatch)
+        assert len(columnar) == rows
+        for i in range(rows):
+            policy = policies[assigned[i]]
+            index = policy.predict_action_index(observations[i])
+            assert str(columnar.policy_ids[i]) == assigned[i]
+            assert int(columnar.action_indices[i]) == index
+            assert (
+                int(columnar.heating_setpoints[i]),
+                int(columnar.cooling_setpoints[i]),
+            ) == policy.decode_action(index)
+    # Both batches are counted, row for row.
     assert server.stats.requests == 2 * rows
     assert server.stats.batches == 2
     counts = server.stats.per_policy_requests
     for policy_id in ids:
         assert counts[policy_id] == 2 * int(np.sum(assigned == policy_id))
-
-    # Round-trip through the legacy adapter objects.
-    objects = columnar.to_responses()
-    assert [r.action_index for r in objects] == columnar.action_indices.tolist()
 
 
 def test_serve_columnar_single_policy_and_empty_and_unknown(tmp_path):
@@ -326,7 +320,6 @@ def test_serve_columnar_single_policy_and_empty_and_unknown(tmp_path):
         )
     )
     assert len(empty) == 0
-    assert empty.to_responses() == []
 
     with pytest.raises(UnknownPolicyError):
         server.serve_columnar(

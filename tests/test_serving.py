@@ -12,8 +12,8 @@ from repro.dtree.node import TreeNode
 from repro.serving import (
     CompiledTreeForest,
     CompiledTreePolicy,
-    PolicyRequest,
     PolicyServer,
+    ServerStats,
     UnknownPolicyError,
 )
 from repro.store import PolicyKey, PolicyStore
@@ -119,22 +119,22 @@ def test_server_batches_across_policies(tmp_path):
         server.register(policy_id, policy)
 
     rng = np.random.default_rng(7)
-    requests = [
-        PolicyRequest(
-            policy_id=f"building-{i % 3}",
-            observation=rng.uniform(-5.0, 5.0, size=N_FEATURES),
-        )
-        for i in range(64)
-    ]
-    responses = server.serve(requests)
-    assert len(responses) == len(requests)
-    for request, response in zip(requests, responses):
-        policy = policies[request.policy_id]
-        index = policy.predict_action_index(np.asarray(request.observation))
+    ids = np.array([f"building-{i % 3}" for i in range(64)])
+    observations = rng.uniform(-5.0, 5.0, size=(64, N_FEATURES))
+    response = server.serve_columnar(
+        PolicyRequestBatch(policy_ids=ids, observations=observations)
+    )
+    assert len(response) == len(ids)
+    for row, policy_id in enumerate(ids):
+        policy = policies[policy_id]
+        index = policy.predict_action_index(observations[row])
         heating, cooling = policy.decode_action(index)
-        assert response.policy_id == request.policy_id
-        assert response.action_index == index
-        assert (response.heating_setpoint, response.cooling_setpoint) == (heating, cooling)
+        assert response.policy_ids[row] == policy_id
+        assert response.action_indices[row] == index
+        assert (response.heating_setpoints[row], response.cooling_setpoints[row]) == (
+            heating,
+            cooling,
+        )
     assert server.stats.requests == 64
     assert server.stats.batches == 1
 
@@ -151,16 +151,15 @@ def test_server_lru_eviction_and_store_resolution(tmp_path):
     assert len(ids) == 2
 
     server = PolicyServer(store=store)
-    observation = np.full(N_FEATURES, 20.0)
-    server.serve_one(ids[0], observation)
-    server.serve_one(ids[1], observation)
-    server.serve_one(ids[0], observation)  # compiled once, served again
+    observation = np.full((1, N_FEATURES), 20.0)
+    for policy_id in (ids[0], ids[1], ids[0]):  # ids[0] is compiled once, served again
+        server.serve_columnar(PolicyRequestBatch.single_policy(policy_id, observation))
     assert server.stats.compile_count == 2
     assert server.stats.cache_misses == 2
     assert server.stats.cache_hits == 1
 
     with pytest.raises(UnknownPolicyError):
-        server.serve_one("no/such/policy", observation)
+        server.serve_columnar(PolicyRequestBatch.single_policy("no/such/policy", observation))
 
 
 # ------------------------------------------------- handle-keyed forest serving
@@ -313,9 +312,10 @@ def test_more_json_only_ids_in_one_batch_than_the_cache_holds(tmp_path):
 
 
 def test_a_miss_after_lru_hits_keeps_every_row_on_its_own_tree(tmp_path):
-    # Serving [p] after [p, q] reorders the LRU to [q, p]; the batch [p, r]
-    # then loads r.  Each row must still reach its own policy's tree and be
-    # credited to its own id.
+    # [p, q] compiles p and q into the in-memory forest, [p] is served from
+    # it, and [p, r] appends r after them.  Appending never moves a tree, so
+    # each row must still reach its own policy's tree and be credited to its
+    # own id.
     store = PolicyStore(tmp_path)
     p, q, r = (_put(store, seed, random_policy(seed + 80)) for seed in range(3))
     policies = {policy_id: store.find(policy_id).policy for policy_id in (p, q, r)}
@@ -369,7 +369,8 @@ def test_failed_batches_leave_stats_untouched(tmp_path):
         assert server.stats.to_dict() == before
         stats = server.stats
         assert sum(stats.per_policy_requests.values()) == stats.requests
-    # The JSON policy loaded by the failed batches never reached the LRU.
+    # The failed batches never appended the JSON policy they compiled to the
+    # in-memory forest, so this batch is its first and only compile.
     server.serve_columnar(batch([json_id]))
     assert server.stats.cache_misses == server.stats.compile_count == 1
     server.close()
@@ -428,6 +429,8 @@ def test_cli_serve_and_policies_smoke(tmp_path, capsys):
                 "48",
                 "--output",
                 str(tmp_path / "serve.json"),
+                "--stats-json",
+                str(tmp_path / "stats.json"),
             ]
         )
         == 0
@@ -437,6 +440,12 @@ def test_cli_serve_and_policies_smoke(tmp_path, capsys):
     summary = json.loads((tmp_path / "serve.json").read_text())
     assert summary["requests"] == 300
     assert summary["requests_per_second"] > 0
+    # The in-process server writes the sharded fleet's schema: the single
+    # server's counters plus the per-shard and fleet blocks.
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert set(stats) == set(ServerStats().to_dict()) | {"shards", "fleet"}
+    assert stats["compile_count"] == stats["cache_misses"] == stats["unique_policies"] == 1
+    assert stats["cache_hits"] == stats["batches"] - 1 == 4
 
     assert main(["policies", "--store", store_root, "--verify"]) == 0
     out = capsys.readouterr().out

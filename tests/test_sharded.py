@@ -227,9 +227,7 @@ def test_sharded_matches_single_process_on_mixed_batches(tmp_path, policies):
         assert stats["unique_policies"] == len(policies)
 
 
-def test_sharded_single_policy_batch_and_object_adapter(tmp_path, policies):
-    from repro.serving import PolicyRequest
-
+def test_sharded_single_policy_and_single_row_batches(tmp_path, policies):
     with ShardedPolicyServer(store=str(tmp_path), num_shards=2) as fleet:
         for policy_id, policy in policies.items():
             fleet.register(policy_id, policy)
@@ -240,11 +238,11 @@ def test_sharded_single_policy_batch_and_object_adapter(tmp_path, policies):
         )
         expected = policies["building-0"].predict_action_indices(observations)
         assert np.array_equal(response.action_indices, expected)
-        # Legacy object adapter mirrors PolicyServer.serve.
-        replies = fleet.serve(
-            [PolicyRequest("building-1", observations[0])]
+        # A batch of one row.
+        reply = fleet.serve_columnar(
+            PolicyRequestBatch.single_policy("building-1", observations[:1])
         )
-        assert replies[0].action_index == policies["building-1"].predict_action_index(
+        assert reply.action_indices[0] == policies["building-1"].predict_action_index(
             observations[0]
         )
 
@@ -303,7 +301,12 @@ def test_sharded_unknown_policy_raises(tmp_path, policies):
 
 def test_empty_batch_short_circuits(tmp_path):
     fleet = ShardedPolicyServer(store=str(tmp_path), num_shards=2)
-    assert fleet.serve([]) == []
+    empty = fleet.serve_columnar(
+        PolicyRequestBatch(
+            policy_ids=np.empty(0, dtype=str), observations=np.empty((0, N_FEATURES))
+        )
+    )
+    assert len(empty) == 0
     assert not fleet.started  # empty batches never spawn the fleet
     fleet.close()
 

@@ -279,6 +279,9 @@ def test_degraded_mode_is_validated():
         ShardedPolicyServer(store=False, num_shards=2, degraded="panic")
     with pytest.raises(ValueError, match="retries"):
         ShardedPolicyServer(store=False, num_shards=2, retries=-1)
+    for timeout in (0, -1):
+        with pytest.raises(ValueError, match="timeout"):
+            ShardedPolicyServer(store=False, num_shards=2, timeout=timeout)
 
 
 # ----------------------------------------------------- registration replay
