@@ -229,9 +229,13 @@ class DecisionDatasetGenerator:
         ``"serial"`` keeps the original one-input-at-a-time reference loop.
         Both paths consume the generator identically and produce identical
         labels for identical seeds.  ``chunk_inputs`` bounds how many inputs
-        the batched path flattens at once; the default keeps roughly 2k
-        candidate sequences in flight, which fits the flattened model batches
-        in cache (much larger chunks are memory-bandwidth-bound and slower).
+        the batched path flattens at once.  The default is
+        ``2048 // (monte_carlo_runs * num_samples)`` inputs, at least one:
+        about 2k candidate sequences in flight when one input's plans are
+        fewer than that (1920 at the tiny preset's 3 x 64), which fits the
+        flattened model batches in cache (much larger chunks are
+        memory-bandwidth-bound and slower).  At paper defaults one input
+        alone is 5 x 1000 = 5000 sequences, so the chunk is a single input.
         """
         if num_entries <= 0:
             raise ValueError("num_entries must be positive")

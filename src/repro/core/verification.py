@@ -371,7 +371,9 @@ def verify_criterion_1_bootstrap(
         if not trajectory_safe:
             failures += 1
 
-    safe_probability = 1.0 - failures / num_samples
+    # The safe count over the sample count, computed as the one-step verifier
+    # computes it, so equal counts report the same float.
+    safe_probability = (num_samples - failures) / num_samples
     return ProbabilisticVerificationReport(
         safe_probability=safe_probability,
         num_samples=num_samples,

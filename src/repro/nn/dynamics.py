@@ -10,6 +10,13 @@ Two variants are provided:
 * :class:`ThermalDynamicsModel` — a single MLP (the paper's setup),
 * :class:`EnsembleDynamicsModel` — a bootstrap ensemble exposing epistemic
   uncertainty, used by the CLUE-style baseline.
+
+Training runs the float64 :class:`~repro.nn.mlp.MLP`; every prediction, in
+either dtype, runs through one forward-only
+:class:`~repro.nn.inference.CompiledInferenceNetwork` per network.  In
+float64 that network reads the live training weights and normalisers, so a
+prediction is bit-identical to the training network's; in float32 it is a
+folded snapshot rebuilt after every ``fit``.
 """
 
 from __future__ import annotations
@@ -57,11 +64,14 @@ class ThermalDynamicsModel:
     parameterisation that improves accuracy for slow thermal dynamics) and adds
     it back to the current state at prediction time.
 
-    Inference dtype policy: training always runs in float64, but prediction
-    can be switched to a compiled float32 forward pass with
-    :meth:`set_inference_dtype` — the opt-in fast path for the BLAS-bound
-    planning/distillation workloads (``PipelineConfig.dtype``).  ``float64``
-    (the default) keeps prediction bit-exact with the training network.
+    Inference dtype policy: training always runs in float64, and prediction
+    always runs forward-only through a
+    :class:`~repro.nn.inference.CompiledInferenceNetwork` in the dtype chosen
+    by :meth:`set_inference_dtype`.  ``float64`` (the default) stays
+    bit-exact with the training network; ``float32`` is the opt-in fast path
+    for the BLAS-bound planning/distillation workloads
+    (``PipelineConfig.dtype``).  Like the compiled network it holds, an
+    instance is not thread-safe.
     """
 
     def __init__(
@@ -80,11 +90,13 @@ class ThermalDynamicsModel:
 
     @property
     def is_fitted(self) -> bool:
+        """Whether :meth:`fit` has fitted both normalisers (and the network)."""
         return self.input_normalizer.is_fitted and self.target_normalizer.is_fitted
 
     # ------------------------------------------------------- inference dtype
     @property
     def inference_dtype(self) -> np.dtype:
+        """The dtype :meth:`predict` computes in (``float64`` unless set)."""
         return self._inference_dtype
 
     def set_inference_dtype(self, dtype: Union[str, np.dtype]) -> "ThermalDynamicsModel":
@@ -99,9 +111,7 @@ class ThermalDynamicsModel:
         return self
 
     def _inference_network(self) -> CompiledInferenceNetwork:
-        if self._compiled_net is None or self._compiled_net.dtype != self._inference_dtype:
-            # Both normalisation passes fold into the weights, so the fast
-            # path is raw (s, d, a) rows straight through the matmuls.
+        if self._compiled_net is None:
             self._compiled_net = CompiledInferenceNetwork(
                 self.network,
                 dtype=self._inference_dtype,
@@ -139,7 +149,7 @@ class ThermalDynamicsModel:
             batch_size=batch_size,
             seed=seed,
         )
-        self._compiled_net = None  # weights changed; recompile on next predict
+        self._compiled_net = None  # a float32 snapshot is stale; rebuild on next predict
         return self.history
 
     # ---------------------------------------------------------------- predict
@@ -151,24 +161,17 @@ class ThermalDynamicsModel:
     ) -> np.ndarray:
         """Predict next zone temperatures for a batch of (s, d, a) inputs.
 
-        Under the default float64 policy this runs the training network
-        (bit-exact with :meth:`fit`-time forward passes); under float32 the
-        normalised inputs are cast once and flow through the compiled
-        float32 network, with de-normalisation back in float64.
+        Raw rows go through the compiled network, which normalises them and
+        de-normalises its output itself; the result is always float64 (a
+        float32 prediction is widened exactly).  Under the default float64
+        policy it is bit-identical to the training network's forward pass.
         """
         if not self.is_fitted:
             raise RuntimeError("Dynamics model must be fitted before prediction")
         raw_inputs = _stack_model_inputs(states, disturbances, actions)
-        if self._inference_dtype == np.float64:
-            x = self.input_normalizer.transform(raw_inputs)
-            y = self.target_normalizer.inverse_transform(self.network.forward(x))
-            predictions = y[:, 0]
-        else:
-            # Normalisation is folded into the compiled weights: one cast of
-            # the raw rows, the matmuls, and the de-normalised result.
-            predictions = self._inference_network().forward(raw_inputs)[:, 0].astype(
-                np.float64
-            )
+        predictions = self._inference_network().forward(raw_inputs)[:, 0].astype(
+            np.float64, copy=False
+        )
         if self.predict_delta:
             predictions = predictions + raw_inputs[:, 0]
         return predictions
@@ -202,9 +205,10 @@ class EnsembleDynamicsModel:
     """Bootstrap-ensemble dynamics model with epistemic uncertainty estimates.
 
     Supports the same inference dtype policy as
-    :class:`ThermalDynamicsModel`: :meth:`set_inference_dtype` switches every
-    member's forward pass to a compiled cast network (float32 fast path),
-    while float64 remains the bit-exact reference.
+    :class:`ThermalDynamicsModel`: every member predicts through its own
+    :class:`~repro.nn.inference.CompiledInferenceNetwork`, bit-exact with
+    the member's training network in float64 (the default) and a folded
+    snapshot under the float32 fast path.  Not thread-safe.
     """
 
     def __init__(
@@ -230,11 +234,13 @@ class EnsembleDynamicsModel:
 
     @property
     def is_fitted(self) -> bool:
+        """Whether :meth:`fit` has run."""
         return self._fitted
 
     # ------------------------------------------------------- inference dtype
     @property
     def inference_dtype(self) -> np.dtype:
+        """The dtype :meth:`predict` computes in (``float64`` unless set)."""
         return self._inference_dtype
 
     def set_inference_dtype(self, dtype: Union[str, np.dtype]) -> "EnsembleDynamicsModel":
@@ -245,8 +251,7 @@ class EnsembleDynamicsModel:
 
     def _inference_members(self) -> List[CompiledInferenceNetwork]:
         if self._compiled_members is None:
-            # Members share one input/target normaliser (fitted at this
-            # level), folded into each compiled member's weights.
+            # Members share one input/target normaliser, fitted at this level.
             self._compiled_members = [
                 CompiledInferenceNetwork(
                     member,
@@ -267,6 +272,7 @@ class EnsembleDynamicsModel:
         batch_size: int = 64,
         seed: RNGLike = None,
     ) -> None:
+        """Fit the shared normalisers, then every member on its own bootstrap resample."""
         if len(dataset) == 0:
             raise ValueError("Cannot fit a dynamics model on an empty dataset")
         inputs = dataset.model_inputs()
@@ -284,7 +290,7 @@ class EnsembleDynamicsModel:
             seed=seed,
         )
         self._fitted = True
-        self._compiled_members = None  # weights changed; recompile on next predict
+        self._compiled_members = None  # float32 snapshots are stale; rebuild on next predict
 
     def predict(
         self,
@@ -296,19 +302,11 @@ class EnsembleDynamicsModel:
         if not self._fitted:
             raise RuntimeError("Dynamics model must be fitted before prediction")
         raw_inputs = _stack_model_inputs(states, disturbances, actions)
-        if self._inference_dtype == np.float64:
-            x = self.input_normalizer.transform(raw_inputs)
-            member_outputs = self.ensemble.predict_all(x)  # (members, n, 1)
-            member_outputs = np.stack(
-                [self.target_normalizer.inverse_transform(out) for out in member_outputs]
-            )
-        else:
-            # Folded members consume raw rows and emit de-normalised outputs.
-            member_outputs = np.stack(
-                [member.forward(raw_inputs) for member in self._inference_members()]
-            )
-        mean = member_outputs.mean(axis=0)[:, 0].astype(np.float64)
-        std = member_outputs.std(axis=0)[:, 0].astype(np.float64)
+        member_outputs = np.stack(
+            [member.forward(raw_inputs) for member in self._inference_members()]
+        )
+        mean = member_outputs.mean(axis=0)[:, 0].astype(np.float64, copy=False)
+        std = member_outputs.std(axis=0)[:, 0].astype(np.float64, copy=False)
         if self.predict_delta:
             mean = mean + raw_inputs[:, 0]
         return mean, std
@@ -316,6 +314,7 @@ class EnsembleDynamicsModel:
     def predict_next_state(
         self, state: float, disturbance: np.ndarray, action: Sequence[float]
     ) -> Tuple[float, float]:
+        """(mean, std) of the next zone temperature for a single transition."""
         mean, std = self.predict(
             np.array([state]),
             np.asarray(disturbance, dtype=float).reshape(1, -1),

@@ -3,12 +3,15 @@
 The CLUE baseline of the paper estimates epistemic uncertainty from an ensemble
 of dynamics models.  Each member is trained on a bootstrap resample of the
 training data from a different initialisation; the disagreement (standard
-deviation) between member predictions is the uncertainty signal.
+deviation) between member predictions is the uncertainty signal.  Members
+are trained here and predict through
+:class:`~repro.nn.dynamics.EnsembleDynamicsModel`, which runs each one
+forward-only.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -39,6 +42,7 @@ class BootstrapEnsemble:
 
     @property
     def num_members(self) -> int:
+        """Number of ensemble members."""
         return len(self.members)
 
     def fit(
@@ -73,13 +77,3 @@ class BootstrapEnsemble:
                 )
             )
         return histories
-
-    def predict_all(self, inputs: np.ndarray) -> np.ndarray:
-        """Predictions of every member, shape ``(num_members, n, output_dim)``."""
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        return np.stack([member.forward(inputs) for member in self.members])
-
-    def predict(self, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Ensemble mean and (epistemic) standard deviation per prediction."""
-        all_predictions = self.predict_all(inputs)
-        return all_predictions.mean(axis=0), all_predictions.std(axis=0)

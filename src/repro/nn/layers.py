@@ -84,10 +84,12 @@ class DenseLayer:
 
     @property
     def input_dim(self) -> int:
+        """Width of the layer's input (rows of ``weights``)."""
         return self.weights.shape[0]
 
     @property
     def output_dim(self) -> int:
+        """Width of the layer's output (columns of ``weights``)."""
         return self.weights.shape[1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -108,11 +110,14 @@ class DenseLayer:
         return grad_pre @ self.weights.T
 
     def parameters(self) -> Dict[str, np.ndarray]:
+        """The live ``weights`` and ``bias`` arrays (optimisers update them in place)."""
         return {"weights": self.weights, "bias": self.bias}
 
     def gradients(self) -> Dict[str, np.ndarray]:
+        """Gradients from the last :meth:`backward`, keyed like :meth:`parameters`."""
         return {"weights": self.grad_weights, "bias": self.grad_bias}
 
     def zero_grad(self) -> None:
+        """Reset the gradient buffers to zeros."""
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_bias = np.zeros_like(self.bias)

@@ -66,6 +66,7 @@ class MLP:
         return grad
 
     def zero_grad(self) -> None:
+        """Reset every layer's gradient buffers."""
         for layer in self.layers:
             layer.zero_grad()
 
@@ -89,4 +90,5 @@ class MLP:
                 target[...] = value
 
     def num_parameters(self) -> int:
+        """Total number of trainable scalars (weights and biases)."""
         return int(sum(p.size for layer in self.layers for p in layer.parameters().values()))

@@ -28,6 +28,7 @@ class SGD:
         ]
 
     def step(self) -> None:
+        """Apply one momentum update to every parameter, in place."""
         for layer, velocity in zip(self.layers, self._velocity):
             params = layer.parameters()
             grads = layer.gradients()
@@ -39,6 +40,7 @@ class SGD:
                 params[name] += velocity[name]
 
     def zero_grad(self) -> None:
+        """Reset the gradient buffers of every optimised layer."""
         for layer in self.layers:
             layer.zero_grad()
 
@@ -79,6 +81,7 @@ class Adam:
         ]
 
     def step(self) -> None:
+        """Apply one bias-corrected Adam update to every parameter, in place."""
         self._step_count += 1
         t = self._step_count
         for layer, m_buf, v_buf in zip(self.layers, self._first_moment, self._second_moment):
@@ -95,5 +98,6 @@ class Adam:
                 params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
     def zero_grad(self) -> None:
+        """Reset the gradient buffers of every optimised layer."""
         for layer in self.layers:
             layer.zero_grad()

@@ -21,6 +21,7 @@ class Normalizer:
         self.std: Optional[np.ndarray] = None
 
     def fit(self, data: np.ndarray) -> "Normalizer":
+        """Record per-column mean and std (a constant column keeps std 1); returns ``self``."""
         data = np.atleast_2d(np.asarray(data, dtype=float))
         self.mean = data.mean(axis=0)
         self.std = data.std(axis=0)
@@ -30,19 +31,23 @@ class Normalizer:
 
     @property
     def is_fitted(self) -> bool:
+        """Whether :meth:`fit` has run."""
         return self.mean is not None
 
     def transform(self, data: np.ndarray) -> np.ndarray:
+        """Standardise: ``(data - mean) / std``, as a new float64 array."""
         if not self.is_fitted:
             raise RuntimeError("Normalizer must be fitted before transform()")
         return (np.atleast_2d(np.asarray(data, dtype=float)) - self.mean) / self.std
 
     def inverse_transform(self, data: np.ndarray) -> np.ndarray:
+        """Undo :meth:`transform`: ``data * std + mean``, as a new float64 array."""
         if not self.is_fitted:
             raise RuntimeError("Normalizer must be fitted before inverse_transform()")
         return np.atleast_2d(np.asarray(data, dtype=float)) * self.std + self.mean
 
     def fit_transform(self, data: np.ndarray) -> np.ndarray:
+        """:meth:`fit` on ``data``, then :meth:`transform` it."""
         return self.fit(data).transform(data)
 
 
@@ -56,14 +61,17 @@ class TrainingHistory:
 
     @property
     def final_train_loss(self) -> float:
+        """Mean training loss of the last epoch (NaN before any epoch)."""
         return self.train_losses[-1] if self.train_losses else float("nan")
 
     @property
     def final_validation_loss(self) -> float:
+        """Validation loss after the last epoch (NaN without a validation split)."""
         return self.validation_losses[-1] if self.validation_losses else float("nan")
 
     @property
     def epochs(self) -> int:
+        """Number of epochs recorded."""
         return len(self.train_losses)
 
 

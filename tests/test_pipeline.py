@@ -82,3 +82,29 @@ def test_save_policy_round_trip(tmp_path, tiny_result):
     restored = TreePolicy.from_dict(payload["policy"])
     probe = np.array([22.0, 0.0, 60.0, 3.0, 100.0, 5.0])
     assert restored.setpoints_for(probe) == tiny_result.policy.setpoints_for(probe)
+
+
+def test_bootstrap_verifier_reports_the_one_step_float_at_horizon_1():
+    # At H = 1 both verifiers count the same safe starts, the bootstrap one a
+    # row at a time and the one-step one in a single batch, so the reported
+    # probabilities must be the same float, not merely close.
+    import dataclasses
+
+    from repro.core.verification import verify_criterion_1, verify_criterion_1_bootstrap
+
+    config = PipelineConfig.tiny(seed=0)
+    result = VerifiedPolicyPipeline(config).run()
+    criteria = dataclasses.replace(config.criteria(), horizon=1)
+    for num_samples in (64, 256, 1000):
+        reports = [
+            verify(
+                result.policy,
+                result.dynamics_model,
+                result.sampler,
+                criteria,
+                num_samples=num_samples,
+                seed=7,
+            )
+            for verify in (verify_criterion_1, verify_criterion_1_bootstrap)
+        ]
+        assert reports[1].safe_probability == reports[0].safe_probability, num_samples
