@@ -33,6 +33,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -55,6 +56,23 @@ def _resolve(build, *args, **kwargs):
         raise CLIError(message) from exc
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject out-of-range sizes and server settings before any work starts."""
+    for dest in ("rows", "requests", "batch_size", "buildings", "ticks", "shards", "timeout"):
+        value = getattr(args, dest, None)
+        if value is not None and not value > 0:
+            raise CLIError(f"--{dest.replace('_', '-')} must be positive")
+    if getattr(args, "retries", 0) < 0:
+        raise CLIError("--retries must be non-negative")
+
+
+def _write_json(payload, path: Optional[str]) -> None:
+    """Write ``payload`` as JSON to ``path`` when one was given."""
+    if path:
+        save_json(payload, path)
+        print(f"Wrote {path}")
+
+
 def _parse_agent_args(pairs: List[str]) -> Dict:
     """Parse repeated ``--agent-arg key=value`` options (values via JSON when possible)."""
     config: Dict = {}
@@ -69,55 +87,53 @@ def _parse_agent_args(pairs: List[str]) -> Dict:
     return config
 
 
-# ------------------------------------------------------------------ commands
-def cmd_run(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import ExperimentResult, ExperimentRunner
-    from repro.experiments.scenarios import ScenarioSpec
+def _experiment_runner(args: argparse.Namespace, *parts: Optional[str], **options):
+    """The runner of ``--episodes`` on scenario ``--climate/--season[/parts]``.
 
-    from repro.agents.registry import canonical_name
+    ``--days``, ``--seed``, ``--backend``, ``--batch-size`` and ``--workers``
+    configure it; ``options`` are further runner arguments.
+    """
+    from repro.experiments.runner import ExperimentRunner
+    from repro.experiments.scenarios import ScenarioSpec
 
     scenario = _resolve(
         ScenarioSpec.from_name,
-        "/".join(
-            p
-            for p in (args.climate, args.season, args.building, args.disturbance)
-            if p
-        ),
+        "/".join(p for p in (args.climate, args.season, *parts) if p),
         days=args.days,
     )
-    agent = _resolve(canonical_name, args.agent)
-    runner = _resolve(
+    return _resolve(
         ExperimentRunner,
         scenario,
         episodes=args.episodes,
         base_seed=args.seed,
-        max_steps=args.steps,
         backend=args.backend,
         batch_size=args.batch_size,
         workers=args.workers,
+        **options,
     )
+
+
+# ------------------------------------------------------------------ commands
+def cmd_run(args: argparse.Namespace) -> int:
+    from repro.agents.registry import canonical_name
+    from repro.experiments.runner import ExperimentResult
+
+    runner = _experiment_runner(args, args.building, args.disturbance, max_steps=args.steps)
+    agent = _resolve(canonical_name, args.agent)
     result = runner.run(agent, agent_config=_parse_agent_args(args.agent_arg))
     print(format_table(ExperimentResult.SUMMARY_HEADER, [result.summary_row()]))
-    if args.output:
-        save_json(result.to_dict(), args.output)
-        print(f"Wrote {args.output}")
+    _write_json(result.to_dict(), args.output)
     return 0
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    from repro.core.pipeline import PipelineConfig, VerifiedPolicyPipeline
-    from repro.weather.climates import get_climate
+    from repro.core.pipeline import VerifiedPolicyPipeline
 
-    city = _resolve(get_climate, args.climate).name
-    overrides: Dict = {"city": city, "seed": args.seed, "season": args.season}
-    if args.decision_data is not None:
-        overrides["num_decision_data"] = args.decision_data
-    if args.dtype is not None:
-        overrides["dtype"] = args.dtype
-    if args.preset == "tiny":
-        config = _resolve(PipelineConfig.tiny, **overrides)
-    else:
-        config = _resolve(PipelineConfig, **overrides)
+    config = _pipeline_config(
+        args,
+        tiny=args.preset == "tiny",
+        **({} if args.dtype is None else {"dtype": args.dtype}),
+    )
     result = VerifiedPolicyPipeline(config, store=args.store).run(refresh=args.refresh)
     if result.store_key:
         verb = "Loaded" if result.cache_hit else "Stored"
@@ -228,6 +244,63 @@ def cmd_policies(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pipeline_config(
+    args: argparse.Namespace, *, city=None, season=None, seed=None, tiny=True, **fields
+):
+    """The pipeline config of ``--climate``/``--season``/``--seed``/``--decision-data``.
+
+    ``city``, ``season`` and ``seed`` replace their flags (a fleet scenario's
+    city and season, a bench's per-policy seed); ``tiny`` picks the CI-sized
+    preset over the paper's; ``fields`` are further config overrides.
+    """
+    from repro.core.pipeline import PipelineConfig
+    from repro.weather.climates import get_climate
+
+    fields.update(
+        city=_resolve(get_climate, city or args.climate).name,
+        season=season or args.season,
+        seed=args.seed if seed is None else seed,
+    )
+    if args.decision_data is not None:
+        fields["num_decision_data"] = args.decision_data
+    return _resolve(PipelineConfig.tiny if tiny else PipelineConfig, **fields)
+
+
+def _ensure_policy(store, config) -> str:
+    """Name of a stored policy for ``config``'s city and season, extracting one if none."""
+    from repro.core.pipeline import VerifiedPolicyPipeline
+
+    entries = store.entries(city=config.city, season=config.season)
+    if entries:
+        return entries[0].key.name
+    print(
+        f"Store {store.root} has no {config.city}/{config.season} policy; "
+        "extracting a tiny one..."
+    )
+    result = VerifiedPolicyPipeline(config, store=store).run()
+    print(f"Stored policy {result.store_key}")
+    return result.store_key
+
+
+@contextlib.contextmanager
+def _scratch_store(args: argparse.Namespace, policies: int):
+    """A temporary store of ``policies`` tiny policies.
+
+    They are extracted at seeds ``--seed``, ``--seed`` + 1, ..., so each one
+    is a distinct policy.
+    """
+    import tempfile
+
+    from repro.core.pipeline import VerifiedPolicyPipeline
+    from repro.store import PolicyStore
+
+    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as scratch:
+        store = PolicyStore(scratch)
+        for seed in range(args.seed, args.seed + policies):
+            VerifiedPolicyPipeline(_pipeline_config(args, seed=seed), store=store).run()
+        yield store
+
+
 #: Plausible sampling ranges for the Table-1 observation vector, used to
 #: synthesise a serving request stream (zone temp, outdoor temp, humidity,
 #: wind, solar, occupants).
@@ -244,37 +317,62 @@ def _synthetic_observations(rng, rows: int, dim: int):
     return rng.uniform(low, high, size=(rows, dim))
 
 
-def _ensure_store_policy(store, args) -> None:
-    """Extract (and persist) a tiny verified policy when the store is empty."""
-    from repro.core.pipeline import PipelineConfig, VerifiedPolicyPipeline
-    from repro.weather.climates import get_climate
+def _round_robin_traffic(store, rows: int, seed: int):
+    """``(policy_ids, assigned, observations)``: ``rows`` requests over every stored policy.
 
-    city = _resolve(get_climate, args.climate).name
-    overrides: Dict = {"city": city, "seed": args.seed, "season": args.season}
-    if args.decision_data is not None:
-        overrides["num_decision_data"] = args.decision_data
-    config = _resolve(PipelineConfig.tiny, **overrides)
-    print(f"Store {store.root} has no matching policy; extracting a tiny one...")
-    result = VerifiedPolicyPipeline(config, store=store).run()
-    print(f"Stored policy {result.store_key}")
+    Buildings are interleaved round-robin, so every batch mixes policies —
+    the server's single forest descent is what keeps that vectorised.
+    """
+    import numpy as np
+
+    policy_ids = [entry.key.name for entry in store.entries()]
+    dim = store.find(policy_ids[0]).policy.input_dim
+    observations = _synthetic_observations(np.random.default_rng(seed), rows, dim)
+    assigned = np.array(policy_ids)[np.arange(rows) % len(policy_ids)]
+    return policy_ids, assigned, observations
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def _serve_stream(server, assigned, observations, batch_size: int, warmup=False, faults=()):
+    """Serve the traffic in ``batch_size``-row ``serve_columnar`` batches.
+
+    Returns every row's action index and the seconds of each batch (building
+    it, serving it, storing its actions).  ``warmup`` first serves batch 0
+    once, untimed, so policy compilation and worker start-up stay out of the
+    timings; ``faults`` are ``(batch, Fault)`` pairs injected just before
+    that batch.
+    """
     import time
 
     import numpy as np
 
-    from repro.serving import PolicyRequestBatch, ShardedPolicyServer
+    from repro.serving import PolicyRequestBatch
 
-    if args.requests <= 0:
-        raise CLIError("--requests must be positive")
-    if args.batch_size <= 0:
-        raise CLIError("--batch-size must be positive")
-    if args.shards < 1:
-        raise CLIError("--shards must be at least 1")
+    def batch(lo: int):
+        return PolicyRequestBatch(
+            policy_ids=assigned[lo : lo + batch_size],
+            observations=observations[lo : lo + batch_size],
+        )
+
+    if warmup:
+        server.serve_columnar(batch(0))
+    actions = np.empty(len(assigned), dtype=np.int64)
+    seconds = []
+    for index, lo in enumerate(range(0, len(assigned), batch_size)):
+        for at, fault in faults:
+            if at == index:
+                server.inject_fault(fault)
+        start = time.perf_counter()
+        actions[lo : lo + batch_size] = server.serve_columnar(batch(lo)).action_indices
+        seconds.append(time.perf_counter() - start)
+    return actions, seconds
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serving import ShardedPolicyServer
+
     store = _open_store(args.store)
     if not store.entries():
-        _ensure_store_policy(store, args)
+        _ensure_policy(store, _pipeline_config(args))
     # --arena maps straight onto resolve_arena(): absent -> auto-detect,
     # bare flag -> require, PATH -> open that file.
     arena = True if args.arena is True else (args.arena if args.arena else None)
@@ -291,46 +389,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     if server.arena_error:
         print(f"arena skipped: {server.arena_error}")
-    policy_ids = [entry.key.name for entry in store.entries()]
-    dim = store.find(policy_ids[0]).policy.input_dim
-
-    rng = np.random.default_rng(args.seed)
-    observations = _synthetic_observations(rng, args.requests, dim)
-    # Interleave buildings round-robin so every batch mixes policies — the
-    # server's single forest descent is what keeps this vectorised.
-    assigned = np.array([policy_ids[i % len(policy_ids)] for i in range(args.requests)])
-
-    served = 0
-    start = time.perf_counter()
+    policy_ids, assigned, observations = _round_robin_traffic(store, args.requests, args.seed)
     try:
-        while served < args.requests:
-            stop = min(served + args.batch_size, args.requests)
-            server.serve_columnar(
-                PolicyRequestBatch(
-                    policy_ids=assigned[served:stop],
-                    observations=observations[served:stop],
-                )
-            )
-            served = stop
-        wall = time.perf_counter() - start
+        _, seconds = _serve_stream(server, assigned, observations, args.batch_size)
         stats = server.stats()
     finally:
         # A serving error must not strand the worker fleet, its rings, or an
         # arena mapping the server opened itself.
         server.close()
+    wall = sum(seconds)
     summary = {
-        "requests": served,
+        "requests": args.requests,
         "batch_size": args.batch_size,
         "shards": args.shards,
         "policies": len(policy_ids),
         "wall_seconds": wall,
-        "requests_per_second": served / wall if wall > 0 else float("inf"),
+        "requests_per_second": args.requests / wall if wall > 0 else float("inf"),
         "server_stats": stats,
     }
     print(
         format_table(
             ["requests", "policies", "batch", "shards", "wall s", "req/s"],
-            [[served, len(policy_ids), args.batch_size, args.shards,
+            [[args.requests, len(policy_ids), args.batch_size, args.shards,
               round(wall, 4), round(summary["requests_per_second"], 1)]],
         )
     )
@@ -360,37 +440,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"fallback_rows={fleet_counters.get('fallback_rows', 0)} "
             f"lost_requests={fleet_counters.get('lost_requests', 0)}"
         )
-    if args.stats_json:
-        # Machine-readable fleet/supervisor counters: CI and the fleet loop
-        # assert on restarts / lost_requests without scraping tables.
-        save_json(to_jsonable(stats), args.stats_json)
-        print(f"Wrote {args.stats_json}")
-    if args.output:
-        save_json(to_jsonable(summary), args.output)
-        print(f"Wrote {args.output}")
+    # Machine-readable fleet/supervisor counters: CI and the fleet loop
+    # assert on restarts / lost_requests without scraping tables.
+    _write_json(stats, args.stats_json)
+    _write_json(summary, args.output)
     return 0
-
-
-def _ensure_scenario_policy(store, scenario_name: str, seed: int, decision_data=None) -> str:
-    """Resolve (or tiny-extract) a store policy for one scenario; returns its name."""
-    from repro.core.pipeline import PipelineConfig, VerifiedPolicyPipeline
-    from repro.experiments.scenarios import ScenarioSpec
-
-    spec = _resolve(ScenarioSpec.from_name, scenario_name)
-    entries = store.entries(city=spec.city, season=spec.season)
-    if entries:
-        return entries[0].key.name
-    overrides: Dict = {"city": spec.city, "seed": seed, "season": spec.season}
-    if decision_data is not None:
-        overrides["num_decision_data"] = decision_data
-    config = _resolve(PipelineConfig.tiny, **overrides)
-    print(
-        f"Store {store.root} has no {spec.city}/{spec.season} policy; "
-        "extracting a tiny one..."
-    )
-    result = VerifiedPolicyPipeline(config, store=store).run()
-    print(f"Stored policy {result.store_key}")
-    return result.store_key
 
 
 def _corrupted_clone(policy):
@@ -410,42 +464,29 @@ def _corrupted_clone(policy):
     return clone
 
 
-def _build_mpc_teacher(
-    climate: str, season: str, seed: int, dynamics_model=None, pipeline_config=None
-):
-    """Wrap the RS optimizer as a drift teacher, pipeline hyper-parameters.
+def _build_mpc_teacher(config):
+    """Wrap the RS optimizer as a drift teacher with ``config``'s hyper-parameters.
 
-    When the caller holds the pipeline's own fitted ``dynamics_model`` (a
-    fresh extraction), the teacher is *exactly* the oracle the incumbent was
-    distilled from — teacher-vs-incumbent disagreement then sits near
-    ``1 - fidelity``, which is what makes the baseline-relative drift alarm
-    discriminating.  Without one (store cache hit), a model is trained from
-    scratch with the same tiny-pipeline hyper-parameters.
+    The dynamics model is trained from scratch on ``config``'s city, season
+    and seed, the way the pipeline trains the one its policies are
+    distilled from.
     """
     from repro.agents.random_shooting import RandomShootingOptimizer
     from repro.agents.rule_based import RuleBasedAgent
-    from repro.core.pipeline import PipelineConfig
     from repro.env.dataset import collect_historical_data
     from repro.env.hvac_env import make_environment
     from repro.fleet import MPCTeacher
     from repro.nn.dynamics import ThermalDynamicsModel
-    from repro.weather.climates import get_climate
 
-    city = _resolve(get_climate, climate).name
-    config = pipeline_config or _resolve(
-        PipelineConfig.tiny, city=city, seed=seed, season=season
-    )
+    seed = config.seed
     environment = make_environment(
-        city=city, days=config.historical_days, seed=seed, season=season
+        city=config.city, days=config.historical_days, seed=seed, season=config.season
     )
-    if dynamics_model is None:
-        data = collect_historical_data(
-            environment, RuleBasedAgent.from_config(environment), seed=seed + 1
-        )
-        dynamics_model = ThermalDynamicsModel(
-            hidden_sizes=config.hidden_sizes, seed=seed + 2
-        )
-        dynamics_model.fit(data, epochs=config.training_epochs, seed=seed + 3)
+    data = collect_historical_data(
+        environment, RuleBasedAgent.from_config(environment), seed=seed + 1
+    )
+    dynamics_model = ThermalDynamicsModel(hidden_sizes=config.hidden_sizes, seed=seed + 2)
+    dynamics_model.fit(data, epochs=config.training_epochs, seed=seed + 3)
     optimizer = RandomShootingOptimizer(
         dynamics_model=dynamics_model,
         action_space=environment.action_space,
@@ -465,23 +506,88 @@ def _build_mpc_teacher(
     )
 
 
-def cmd_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet import (
-        DriftDetector,
-        FleetGroup,
-        FleetLoop,
-        RolloutManager,
-        ShadowEvaluator,
-        TreePolicyTeacher,
-    )
+def _run_fleet(
+    store,
+    groups,
+    args: argparse.Namespace,
+    *,
+    timeout: float,
+    incumbent: str,
+    candidate,
+    canary: float,
+    min_canary_ticks: int,
+    window: int,
+    teacher,
+    drift_sample: int,
+    drift_threshold: float,
+    drift_min_ticks: int,
+    inject_kill: Optional[int],
+    fallback: bool = True,
+):
+    """Run ``args.ticks`` fleet ticks through a sharded server over ``store``.
+
+    A ``candidate`` ``(policy_id, policy)`` is registered and canaried on
+    ``canary`` of the buildings, gated by a shadow evaluator and a drift
+    detector auditing against ``teacher``.  ``inject_kill`` kills, at that
+    tick, the shard serving the candidate (the incumbent without one).
+    Returns the loop and the final server stats; the server is closed
+    either way.
+    """
+    from repro.fleet import DriftDetector, FleetLoop, RolloutManager, ShadowEvaluator
     from repro.serving import Fault, ShardedPolicyServer, shard_for_policy
 
-    if args.buildings <= 0:
-        raise CLIError("--buildings must be positive")
-    if args.ticks <= 0:
-        raise CLIError("--ticks must be positive")
-    if args.shards < 1:
-        raise CLIError("--shards must be at least 1")
+    rollout = shadow = drift = None
+    if candidate is not None:
+        rollout = RolloutManager(
+            incumbent, candidate[0], canary_fraction=canary, min_canary_ticks=min_canary_ticks
+        )
+        env_config = groups[0].env.environments[0].config
+        shadow = ShadowEvaluator(
+            env_config.reward.comfort.lower,
+            env_config.reward.comfort.upper,
+            *env_config.actions.off_setpoints(),
+            window=window,
+        )
+        drift = DriftDetector(
+            teacher,
+            sample_size=drift_sample,
+            window=window,
+            threshold=drift_threshold,
+            min_ticks=drift_min_ticks,
+            baseline_policy_id=incumbent,
+            seed=args.seed + 7,
+        )
+    server = _resolve(
+        ShardedPolicyServer,
+        store=store,
+        num_shards=args.shards,
+        timeout=timeout,
+        retries=args.retries,
+        degraded=args.degraded,
+    )
+    try:
+        loop = FleetLoop(
+            server, groups, rollout=rollout, shadow=shadow, drift=drift, fallback=fallback
+        )
+        if candidate is not None:
+            server.register(*candidate)
+            rollout.begin_canary(0)
+        kill_shard = shard_for_policy(candidate[0] if candidate else incumbent, args.shards)
+        for tick in range(args.ticks):
+            if tick == inject_kill:
+                server.inject_fault(Fault(kind="kill", shard=kill_shard))
+            loop.tick()
+        stats = server.stats()
+    finally:
+        server.close()
+    return loop, stats
+
+
+def cmd_fleet(args: argparse.Namespace) -> int:
+    from repro.core.tree_policy import TreePolicy
+    from repro.experiments.scenarios import ScenarioSpec
+    from repro.fleet import FleetGroup, TreePolicyTeacher
+
     if not 0.0 <= args.canary <= 1.0:
         raise CLIError("--canary must be a fraction in [0, 1]")
     if args.inject_kill is not None and args.shards < 2:
@@ -489,11 +595,12 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     scenario_names = [name.strip() for name in args.scenarios.split(",") if name.strip()]
     if not scenario_names:
         raise CLIError("--scenarios must name at least one scenario")
+    specs = [_resolve(ScenarioSpec.from_name, name) for name in scenario_names]
 
     store = _open_store(args.store)
     incumbents = [
-        _ensure_scenario_policy(store, name, args.seed, args.decision_data)
-        for name in scenario_names
+        _ensure_policy(store, _pipeline_config(args, city=spec.city, season=spec.season))
+        for spec in specs
     ]
     per_group = [
         args.buildings // len(scenario_names)
@@ -516,84 +623,42 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         if count > 0
     ]
 
-    rollout = shadow = drift = None
-    candidate_policy = None
-    candidate_id = None
+    candidate = teacher = None
     if args.canary > 0:
         stored = store.find(incumbents[0])
         if stored is None:
             raise CLIError(f"Incumbent {incumbents[0]} vanished from the store")
         incumbent_policy = stored.policy
         if args.corrupt_candidate:
-            candidate_policy = _corrupted_clone(incumbent_policy)
-            candidate_id = "candidate-corrupted"
+            candidate = ("candidate-corrupted", _corrupted_clone(incumbent_policy))
         else:
-            from repro.core.tree_policy import TreePolicy
-
-            candidate_policy = TreePolicy.from_dict(incumbent_policy.to_dict())
-            candidate_id = "candidate-healthy"
-        rollout = RolloutManager(
-            incumbents[0],
-            candidate_id,
-            canary_fraction=args.canary,
-            min_canary_ticks=args.min_canary_ticks,
-        )
-        reward = groups[0].env.environments[0].config.reward
-        actions_config = groups[0].env.environments[0].config.actions
-        shadow = ShadowEvaluator(
-            reward.comfort.lower,
-            reward.comfort.upper,
-            *actions_config.off_setpoints(),
-            window=args.window,
-        )
+            candidate = ("candidate-healthy", TreePolicy.from_dict(incumbent_policy.to_dict()))
         if args.drift_teacher == "mpc":
-            from repro.experiments.scenarios import ScenarioSpec
-
-            lead = _resolve(ScenarioSpec.from_name, scenario_names[0])
-            teacher = _build_mpc_teacher(lead.city, lead.season, args.seed + 100)
+            teacher = _build_mpc_teacher(
+                _pipeline_config(
+                    args, city=specs[0].city, season=specs[0].season, seed=args.seed + 100
+                )
+            )
         else:
             teacher = TreePolicyTeacher(incumbent_policy)
-        drift = DriftDetector(
-            teacher,
-            sample_size=args.drift_sample,
-            window=args.window,
-            threshold=args.drift_threshold,
-            min_ticks=max(2, args.window // 2),
-            baseline_policy_id=incumbents[0],
-            seed=args.seed + 7,
-        )
 
-    server = _resolve(
-        ShardedPolicyServer,
-        store=store,
-        num_shards=args.shards,
+    loop, stats = _run_fleet(
+        store,
+        groups,
+        args,
         timeout=args.timeout,
-        retries=args.retries,
-        degraded=args.degraded,
+        incumbent=incumbents[0],
+        candidate=candidate,
+        canary=args.canary,
+        min_canary_ticks=args.min_canary_ticks,
+        window=args.window,
+        teacher=teacher,
+        drift_sample=args.drift_sample,
+        drift_threshold=args.drift_threshold,
+        drift_min_ticks=max(2, args.window // 2),
+        inject_kill=args.inject_kill,
+        fallback=not args.no_fallback,
     )
-    try:
-        loop = FleetLoop(
-            server,
-            groups,
-            rollout=rollout,
-            shadow=shadow,
-            drift=drift,
-            fallback=not args.no_fallback,
-        )
-        if rollout is not None:
-            server.register(candidate_id, candidate_policy)
-            rollout.begin_canary(0)
-        for tick in range(args.ticks):
-            if args.inject_kill is not None and tick == args.inject_kill:
-                target = candidate_id if candidate_id is not None else incumbents[0]
-                server.inject_fault(
-                    Fault(kind="kill", shard=shard_for_policy(target, args.shards))
-                )
-            loop.tick()
-        stats = server.stats()
-    finally:
-        server.close()
-
     report = loop.report()
     report["server_stats"] = stats
     telemetry = report["telemetry"]
@@ -609,47 +674,26 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 round(latency["p99"] * 1e3, 2),
                 telemetry["fallback_ticks"],
                 telemetry["lost_ticks"],
-                rollout.state if rollout is not None else "-",
+                loop.rollout.state if loop.rollout is not None else "-",
             ]],
         )
     )
-    if rollout is not None:
+    if loop.rollout is not None:
         for event in report["rollout"]["events"]:
             print(f"tick {event['tick']}: {event['previous']} -> {event['state']} ({event['reason']})")
-    if args.stats_json:
-        save_json(to_jsonable(stats), args.stats_json)
-        print(f"Wrote {args.stats_json}")
-    if args.output:
-        save_json(to_jsonable(report), args.output)
-        print(f"Wrote {args.output}")
+    _write_json(stats, args.stats_json)
+    _write_json(report, args.output)
     return 0
 
 
 def _bench_rollout(args: argparse.Namespace) -> Dict:
-    from repro.experiments.runner import ExperimentRunner
-    from repro.experiments.scenarios import ScenarioSpec
-
     from repro.agents.registry import canonical_name
 
-    scenario = _resolve(
-        ScenarioSpec.from_name,
-        "/".join(p for p in (args.climate, args.season) if p),
-        days=args.days,
-    )
-    agent = _resolve(canonical_name, args.agent)
-    runner = _resolve(
-        ExperimentRunner,
-        scenario,
-        episodes=args.episodes,
-        base_seed=args.seed,
-        backend=args.backend,
-        batch_size=args.batch_size,
-        workers=args.workers,
-    )
-    result = runner.run(agent)
+    runner = _experiment_runner(args)
+    result = runner.run(_resolve(canonical_name, args.agent))
     return {
         "benchmark": "rollout",
-        "scenario": scenario.name,
+        "scenario": runner.scenario.name,
         "agent": result.agent,
         "days": args.days,
         "episodes": args.episodes,
@@ -675,7 +719,10 @@ def _bench_distill(args: argparse.Namespace) -> Dict:
     (``set_inference_dtype("float32")``) against the float64 batched
     reference on the same inputs and reports the label-agreement rate —
     the distilled labels are a vote over many stochastic plans, so tiny
-    per-prediction rounding differences rarely flip a label.
+    per-prediction rounding differences rarely flip a label.  Each path
+    reports the best of three runs on the same inputs and seed (one run's
+    ratio swings with the host's load); the repeats must return identical
+    labels.
     """
     import numpy as np
 
@@ -711,11 +758,26 @@ def _bench_distill(args: argparse.Namespace) -> Dict:
         monte_carlo_runs=args.mc_runs,
         planning_horizon=args.horizon,
     )
-    serial = generator.generate(args.entries, seed=args.seed, method="serial")
-    batched = generator.generate(args.entries, seed=args.seed, method="batched")
-    model.set_inference_dtype("float32")
-    float32 = generator.generate(args.entries, seed=args.seed, method="batched")
+    # Three rounds over the three paths, interleaved so that a change in the
+    # host's speed during the bench reaches every path alike.
+    paths = {
+        "serial": ("serial", "float64"),
+        "batched": ("batched", "float64"),
+        "float32": ("batched", "float32"),
+    }
+    runs: Dict[str, List] = {name: [] for name in paths}
+    for _ in range(3):
+        for name, (method, dtype) in paths.items():
+            model.set_inference_dtype(dtype)
+            runs[name].append(generator.generate(args.entries, seed=args.seed, method=method))
     model.set_inference_dtype("float64")
+    for name, repeats in runs.items():
+        if not all(np.array_equal(run.action_labels, repeats[0].action_labels) for run in repeats):
+            raise RuntimeError(f"repeated {name} distillation runs returned different labels")
+    serial, batched, float32 = (
+        min(repeats, key=lambda run: run.generation_seconds_per_entry)
+        for repeats in runs.values()
+    )
     return {
         "benchmark": "distill",
         "entries": args.entries,
@@ -747,24 +809,17 @@ def _bench_serve(args: argparse.Namespace) -> Dict:
     through ``PolicyServer.serve_columnar`` in 512-row single-policy batches,
     after one untimed batch compiles the policy.
     """
-    import tempfile
     import time
 
     import numpy as np
 
-    from repro.core.pipeline import PipelineConfig, VerifiedPolicyPipeline
-    from repro.serving import PolicyRequestBatch, PolicyServer
-    from repro.store import PolicyStore
-    from repro.weather.climates import get_climate
+    from repro.core.pipeline import VerifiedPolicyPipeline
+    from repro.serving import PolicyServer
 
-    city = _resolve(get_climate, args.climate).name
-    config = _resolve(
-        PipelineConfig.tiny, city=city, seed=args.seed, season=args.season
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as scratch:
-        store = PolicyStore(scratch)
+    config = _pipeline_config(args)
+    with _scratch_store(args, 0) as store:
         start = time.perf_counter()
-        cold = VerifiedPolicyPipeline(config, store=store).run()
+        VerifiedPolicyPipeline(config, store=store).run()
         extract_seconds = time.perf_counter() - start
         start = time.perf_counter()
         warm = VerifiedPolicyPipeline(config, store=store).run()
@@ -783,15 +838,10 @@ def _bench_serve(args: argparse.Namespace) -> Dict:
         compiled_seconds = time.perf_counter() - start
 
         # End-to-end front door: id lookup, width check, forest descent.
-        server = PolicyServer(store=store)
-        policy_id = store.entries()[0].key.name
-        server.serve_columnar(PolicyRequestBatch.single_policy(policy_id, inputs[:512]))
-        start = time.perf_counter()
-        for offset in range(0, len(inputs), 512):
-            server.serve_columnar(
-                PolicyRequestBatch.single_policy(policy_id, inputs[offset : offset + 512])
-            )
-        server_seconds = time.perf_counter() - start
+        policy_ids = np.full(args.rows, store.entries()[0].key.name)
+        _, seconds = _serve_stream(
+            PolicyServer(store=store), policy_ids, inputs, 512, warmup=True
+        )
 
     return {
         "benchmark": "serve",
@@ -803,7 +853,7 @@ def _bench_serve(args: argparse.Namespace) -> Dict:
         "recursive_rows_per_second": args.rows / max(recursive_seconds, 1e-12),
         "compiled_rows_per_second": args.rows / max(compiled_seconds, 1e-12),
         "speedup": recursive_seconds / max(compiled_seconds, 1e-12),
-        "server_requests_per_second": args.rows / max(server_seconds, 1e-12),
+        "server_requests_per_second": args.rows / max(sum(seconds), 1e-12),
         "extract_seconds": extract_seconds,
         "store_hit_seconds": store_hit_seconds,
         "cache_hit": bool(warm.cache_hit),
@@ -822,33 +872,16 @@ def _bench_serve_columnar(args: argparse.Namespace) -> Dict:
     policy.  The actions must match exactly.  The reference shares no code
     with the compiled forest, so a fast-but-wrong descent cannot pass.
     """
-    import tempfile
     import time
 
     import numpy as np
 
-    from repro.core.pipeline import PipelineConfig, VerifiedPolicyPipeline
-    from repro.serving import PolicyRequestBatch, PolicyServer
-    from repro.store import PolicyStore
-    from repro.weather.climates import get_climate
+    from repro.serving import PolicyServer
 
-    city = _resolve(get_climate, args.climate).name
     chunk = args.batch_size or 512
-    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as scratch:
-        store = PolicyStore(scratch)
-        for seed in (args.seed, args.seed + 1):
-            config = _resolve(
-                PipelineConfig.tiny, city=city, seed=seed, season=args.season
-            )
-            VerifiedPolicyPipeline(config, store=store).run()
-        server = PolicyServer(store=store)
-        policy_ids = [entry.key.name for entry in store.entries()]
+    with _scratch_store(args, 2) as store:
+        policy_ids, assigned, observations = _round_robin_traffic(store, args.rows, args.seed)
         policies = {policy_id: store.find(policy_id).policy for policy_id in policy_ids}
-        dim = policies[policy_ids[0]].input_dim
-
-        rng = np.random.default_rng(args.seed)
-        observations = _synthetic_observations(rng, args.rows, dim)
-        assigned = np.array([policy_ids[i % len(policy_ids)] for i in range(args.rows)])
 
         start = time.perf_counter()
         reference_actions = np.empty(args.rows, dtype=np.int64)
@@ -859,20 +892,9 @@ def _bench_serve_columnar(args: argparse.Namespace) -> Dict:
                 reference_actions[rows] = policy.predict_action_indices(observations[rows])
         reference_seconds = time.perf_counter() - start
 
-        server.serve_columnar(
-            PolicyRequestBatch(policy_ids=assigned[:chunk], observations=observations[:chunk])
+        columnar_actions, seconds = _serve_stream(
+            PolicyServer(store=store), assigned, observations, chunk, warmup=True
         )
-        start = time.perf_counter()
-        columnar_actions = np.empty(args.rows, dtype=np.int64)
-        for lo in range(0, args.rows, chunk):
-            hi = min(lo + chunk, args.rows)
-            response = server.serve_columnar(
-                PolicyRequestBatch(
-                    policy_ids=assigned[lo:hi], observations=observations[lo:hi]
-                )
-            )
-            columnar_actions[lo:hi] = response.action_indices
-        columnar_seconds = time.perf_counter() - start
 
     return {
         "benchmark": "serve-columnar",
@@ -881,8 +903,8 @@ def _bench_serve_columnar(args: argparse.Namespace) -> Dict:
         "policies": len(policy_ids),
         "actions_identical": bool(np.array_equal(reference_actions, columnar_actions)),
         "reference_requests_per_second": args.rows / max(reference_seconds, 1e-12),
-        "columnar_requests_per_second": args.rows / max(columnar_seconds, 1e-12),
-        "speedup": reference_seconds / max(columnar_seconds, 1e-12),
+        "columnar_requests_per_second": args.rows / max(sum(seconds), 1e-12),
+        "speedup": reference_seconds / max(sum(seconds), 1e-12),
     }
 
 
@@ -899,60 +921,21 @@ def _bench_serve_sharded(args: argparse.Namespace) -> Dict:
     ``cpu_count`` and CI gates its scaling floor on it.
     """
     import os
-    import tempfile
-    import time
 
     import numpy as np
 
-    from repro.core.pipeline import PipelineConfig, VerifiedPolicyPipeline
-    from repro.serving import PolicyRequestBatch, PolicyServer, ShardedPolicyServer
-    from repro.store import PolicyStore
-    from repro.weather.climates import get_climate
+    from repro.serving import PolicyServer, ShardedPolicyServer
 
-    if args.shards < 1:
-        raise CLIError("--shards must be at least 1")
-    city = _resolve(get_climate, args.climate).name
     chunk = args.batch_size or 8192
-    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as scratch:
-        store = PolicyStore(scratch)
-        for seed in range(args.seed, args.seed + 4):
-            config = _resolve(
-                PipelineConfig.tiny, city=city, seed=seed, season=args.season
-            )
-            VerifiedPolicyPipeline(config, store=store).run()
-        policy_ids = [entry.key.name for entry in store.entries()]
-        single = PolicyServer(store=store)
-        dim = store.find(policy_ids[0]).policy.input_dim
-
-        rng = np.random.default_rng(args.seed)
-        observations = _synthetic_observations(rng, args.rows, dim)
-        assigned = np.array([policy_ids[i % len(policy_ids)] for i in range(args.rows)])
-
-        def stream(server, out):
-            for lo in range(0, args.rows, chunk):
-                hi = min(lo + chunk, args.rows)
-                response = server.serve_columnar(
-                    PolicyRequestBatch(
-                        policy_ids=assigned[lo:hi], observations=observations[lo:hi]
-                    )
-                )
-                out[lo:hi] = response.action_indices
-
-        warmup = PolicyRequestBatch(
-            policy_ids=assigned[:chunk], observations=observations[:chunk]
+    with _scratch_store(args, 4) as store:
+        policy_ids, assigned, observations = _round_robin_traffic(store, args.rows, args.seed)
+        single_actions, single_seconds = _serve_stream(
+            PolicyServer(store=store), assigned, observations, chunk, warmup=True
         )
-        single_actions = np.empty(args.rows, dtype=np.int64)
-        single.serve_columnar(warmup)  # compile every policy before timing
-        start = time.perf_counter()
-        stream(single, single_actions)
-        single_seconds = time.perf_counter() - start
-
-        sharded_actions = np.empty(args.rows, dtype=np.int64)
         with ShardedPolicyServer(store=store, num_shards=args.shards) as fleet:
-            fleet.serve_columnar(warmup)
-            start = time.perf_counter()
-            stream(fleet, sharded_actions)
-            sharded_seconds = time.perf_counter() - start
+            sharded_actions, sharded_seconds = _serve_stream(
+                fleet, assigned, observations, chunk, warmup=True
+            )
 
     return {
         "benchmark": "serve-sharded",
@@ -962,9 +945,9 @@ def _bench_serve_sharded(args: argparse.Namespace) -> Dict:
         "cpu_count": os.cpu_count(),
         "policies": len(policy_ids),
         "actions_identical": bool(np.array_equal(single_actions, sharded_actions)),
-        "single_process_requests_per_second": args.rows / max(single_seconds, 1e-12),
-        "sharded_requests_per_second": args.rows / max(sharded_seconds, 1e-12),
-        "speedup": single_seconds / max(sharded_seconds, 1e-12),
+        "single_process_requests_per_second": args.rows / max(sum(single_seconds), 1e-12),
+        "sharded_requests_per_second": args.rows / max(sum(sharded_seconds), 1e-12),
+        "speedup": sum(single_seconds) / max(sum(sharded_seconds), 1e-12),
     }
 
 
@@ -984,63 +967,28 @@ def _bench_serve_faults(args: argparse.Namespace) -> Dict:
     latency floor only on multi-core runners.
     """
     import os
-    import tempfile
-    import time
 
     import numpy as np
 
-    from repro.core.pipeline import PipelineConfig, VerifiedPolicyPipeline
-    from repro.serving import (
-        Fault,
-        PolicyRequestBatch,
-        PolicyServer,
-        ShardedPolicyServer,
-        shard_for_policy,
-    )
-    from repro.store import PolicyStore
-    from repro.weather.climates import get_climate
+    from repro.serving import Fault, PolicyServer, ShardedPolicyServer, shard_for_policy
 
     if args.shards < 2:
         raise CLIError("--target serve-faults needs --shards >= 2")
-    city = _resolve(get_climate, args.climate).name
     chunk = args.batch_size or 4096
     timeout = args.timeout if args.timeout is not None else 1.0
-    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as scratch:
-        store = PolicyStore(scratch)
-        for seed in range(args.seed, args.seed + 4):
-            config = _resolve(
-                PipelineConfig.tiny, city=city, seed=seed, season=args.season
-            )
-            VerifiedPolicyPipeline(config, store=store).run()
-        policy_ids = [entry.key.name for entry in store.entries()]
-        single = PolicyServer(store=store)
-        dim = store.find(policy_ids[0]).policy.input_dim
-
-        rng = np.random.default_rng(args.seed)
-        observations = _synthetic_observations(rng, args.rows, dim)
-        assigned = np.array([policy_ids[i % len(policy_ids)] for i in range(args.rows)])
-
-        single_actions = np.empty(args.rows, dtype=np.int64)
-        for lo in range(0, args.rows, chunk):
-            hi = min(lo + chunk, args.rows)
-            response = single.serve_columnar(
-                PolicyRequestBatch(
-                    policy_ids=assigned[lo:hi], observations=observations[lo:hi]
-                )
-            )
-            single_actions[lo:hi] = response.action_indices
+    with _scratch_store(args, 4) as store:
+        policy_ids, assigned, observations = _round_robin_traffic(store, args.rows, args.seed)
+        single_actions, _ = _serve_stream(PolicyServer(store=store), assigned, observations, chunk)
 
         # Fault only shards that actually carry traffic (policy routing may
         # leave some shards idle), or the injected fault would never fire.
         active = sorted({shard_for_policy(pid, args.shards) for pid in policy_ids})
         kill_shard = active[0]
         hang_shard = active[1 % len(active)]
-        offsets = list(range(0, args.rows, chunk))
-        kill_batch = len(offsets) // 3
-        hang_batch = (2 * len(offsets)) // 3
+        batches = len(range(0, args.rows, chunk))
+        kill_batch = batches // 3
+        hang_batch = (2 * batches) // 3
 
-        sharded_actions = np.empty(args.rows, dtype=np.int64)
-        batch_seconds = []
         with ShardedPolicyServer(
             store=store,
             num_shards=args.shards,
@@ -1049,28 +997,17 @@ def _bench_serve_faults(args: argparse.Namespace) -> Dict:
             degraded=args.degraded,
             heartbeat_interval=None,
         ) as fleet:
-            fleet.serve_columnar(
-                PolicyRequestBatch(
-                    policy_ids=assigned[:chunk], observations=observations[:chunk]
-                )
+            sharded_actions, batch_seconds = _serve_stream(
+                fleet,
+                assigned,
+                observations,
+                chunk,
+                warmup=True,
+                faults=[
+                    (kill_batch, Fault(kind="kill", shard=kill_shard)),
+                    (hang_batch, Fault(kind="hang", shard=hang_shard, seconds=30.0)),
+                ],
             )
-            for index, lo in enumerate(offsets):
-                hi = min(lo + chunk, args.rows)
-                if index == kill_batch:
-                    fleet.inject_fault(Fault(kind="kill", shard=kill_shard))
-                if index == hang_batch:
-                    fleet.inject_fault(
-                        Fault(kind="hang", shard=hang_shard, seconds=30.0)
-                    )
-                start = time.perf_counter()
-                response = fleet.serve_columnar(
-                    PolicyRequestBatch(
-                        policy_ids=assigned[lo:hi],
-                        observations=observations[lo:hi],
-                    )
-                )
-                batch_seconds.append(time.perf_counter() - start)
-                sharded_actions[lo:hi] = response.action_indices
             stats = fleet.stats()
 
     fleet_counters = stats["fleet"]
@@ -1456,114 +1393,54 @@ def _bench_fleet(args: argparse.Namespace) -> Dict:
     corrupted one.
     """
     import os
-    import tempfile
 
     from repro.core.tree_policy import TreePolicy
-    from repro.fleet import (
-        DriftDetector,
-        FleetGroup,
-        FleetLoop,
-        RolloutManager,
-        ShadowEvaluator,
-    )
-    from repro.serving import Fault, ShardedPolicyServer, shard_for_policy
-    from repro.store import PolicyStore
+    from repro.fleet import FleetGroup, TreePolicyTeacher
 
-    if args.buildings <= 0:
-        raise CLIError("--buildings must be positive")
-    if args.ticks <= 0:
-        raise CLIError("--ticks must be positive")
-    if args.shards < 1:
-        raise CLIError("--shards must be at least 1")
-    scenario = f"{args.climate}/{args.season}"
     min_canary_ticks = max(4, args.ticks // 4)
     kill_tick = args.ticks // 8 if args.shards >= 2 else None
-    timeout = args.timeout if args.timeout is not None else 10.0
 
-    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as scratch:
-        from repro.core.pipeline import PipelineConfig, VerifiedPolicyPipeline
-        from repro.weather.climates import get_climate
-
-        store = PolicyStore(scratch)
-        city = _resolve(get_climate, args.climate).name
-        overrides: Dict = {"city": city, "seed": args.seed, "season": args.season}
-        if args.decision_data is not None:
-            overrides["num_decision_data"] = args.decision_data
-        pipeline_config = _resolve(PipelineConfig.tiny, **overrides)
-        result = VerifiedPolicyPipeline(pipeline_config, store=store).run()
-        incumbent = result.store_key
-        incumbent_policy = result.policy
+    with _scratch_store(args, 1) as store:
+        incumbent = store.entries()[0].key.name
+        incumbent_policy = store.find(incumbent).policy
         # The drift oracle is the verified incumbent artifact itself: at
         # CI/bench scale the tiny MPC teacher's labels are noise-dominated on
         # near-tie (unoccupied) states, so its baseline-relative excess cannot
         # discriminate; the reference tree makes the corrupted-candidate alarm
         # a deterministic floor.  `repro fleet --drift-teacher mpc` runs the
         # faithful online-MPC audit.
-        from repro.fleet import TreePolicyTeacher
-
         teacher = TreePolicyTeacher(incumbent_policy)
 
-        def run_phase(candidate_policy, candidate_id: str, inject_kill) -> Dict:
+        def run_phase(candidate, inject_kill) -> Dict:
             group = _resolve(
                 FleetGroup.from_scenario,
-                scenario,
+                f"{args.climate}/{args.season}",
                 policy_id=incumbent,
                 num_buildings=args.buildings,
                 base_seed=args.seed,
                 days=1,
             )
-            env_config = group.env.environments[0].config
-            rollout = RolloutManager(
-                incumbent,
-                candidate_id,
-                canary_fraction=0.25,
+            loop, stats = _run_fleet(
+                store,
+                [group],
+                args,
+                timeout=args.timeout if args.timeout is not None else 10.0,
+                incumbent=incumbent,
+                candidate=candidate,
+                canary=0.25,
                 min_canary_ticks=min_canary_ticks,
-            )
-            shadow = ShadowEvaluator(
-                env_config.reward.comfort.lower,
-                env_config.reward.comfort.upper,
-                *env_config.actions.off_setpoints(),
                 window=16,
+                teacher=teacher,
+                drift_sample=24,
+                drift_threshold=0.3,
+                # The alarm needs headroom to fire *inside* the canary window:
+                # min_ticks must undercut min_canary_ticks or the shadow gate
+                # always wins the race.
+                drift_min_ticks=max(2, min(8, min_canary_ticks - 1)),
+                inject_kill=inject_kill,
             )
-            # The alarm needs headroom to fire *inside* the canary window:
-            # min_ticks must undercut min_canary_ticks or the shadow gate
-            # always wins the race.
-            drift = DriftDetector(
-                teacher,
-                sample_size=24,
-                window=16,
-                threshold=0.3,
-                min_ticks=max(2, min(8, min_canary_ticks - 1)),
-                baseline_policy_id=incumbent,
-                seed=args.seed + 7,
-            )
-            server = ShardedPolicyServer(
-                store=store,
-                num_shards=args.shards,
-                timeout=timeout,
-                retries=args.retries,
-                degraded=args.degraded,
-            )
-            try:
-                loop = FleetLoop(
-                    server, [group], rollout=rollout, shadow=shadow, drift=drift
-                )
-                server.register(candidate_id, candidate_policy)
-                rollout.begin_canary(0)
-                for tick in range(args.ticks):
-                    if inject_kill is not None and tick == inject_kill:
-                        server.inject_fault(
-                            Fault(
-                                kind="kill",
-                                shard=shard_for_policy(candidate_id, args.shards),
-                            )
-                        )
-                    loop.tick()
-                stats = server.stats()
-            finally:
-                server.close()
             report = loop.report()
-            first_alarm = drift.first_alarm_tick(candidate_id)
+            first_alarm = loop.drift.first_alarm_tick(candidate[0])
             report["drift_alarm_fired"] = first_alarm is not None
             report["drift_alarm_latency_ticks"] = (
                 first_alarm + 1 if first_alarm is not None else None
@@ -1572,12 +1449,11 @@ def _bench_fleet(args: argparse.Namespace) -> Dict:
             return report
 
         healthy = run_phase(
-            TreePolicy.from_dict(incumbent_policy.to_dict()),
-            "candidate-healthy",
+            ("candidate-healthy", TreePolicy.from_dict(incumbent_policy.to_dict())),
             kill_tick,
         )
         corrupted = run_phase(
-            _corrupted_clone(incumbent_policy), "candidate-corrupted", None
+            ("candidate-corrupted", _corrupted_clone(incumbent_policy)), None
         )
 
     tick_latency = healthy["tick_latency_seconds"]
@@ -1642,8 +1518,6 @@ def _bench_robustness(args: argparse.Namespace) -> Dict:
     """
     from repro.agents.registry import canonical_name
     from repro.env.disturbances import get_disturbance
-    from repro.experiments.runner import ExperimentRunner
-    from repro.experiments.scenarios import ScenarioSpec
 
     agents = [
         _resolve(canonical_name, name.strip())
@@ -1673,17 +1547,7 @@ def _bench_robustness(args: argparse.Namespace) -> Dict:
 
     rows: List[Dict] = []
     for fault in faults:
-        scenario = ScenarioSpec.from_name(
-            "/".join((args.climate, args.season, "office", fault)), days=args.days
-        )
-        runner = ExperimentRunner(
-            scenario,
-            episodes=args.episodes,
-            base_seed=args.seed,
-            backend=args.backend,
-            batch_size=args.batch_size,
-            workers=args.workers,
-        )
+        runner = _experiment_runner(args, "office", fault)
         for agent in agents:
             result = runner.run(agent, agent_config=agent_configs.get(agent, {}))
             rows.append(
@@ -1738,13 +1602,67 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     payload = to_jsonable(_BENCH_TARGETS[args.target](args))
     print(json.dumps(payload, indent=2))
-    if args.output:
-        save_json(payload, args.output)
-        print(f"Wrote {args.output}")
+    _write_json(payload, args.output)
     return 0
 
 
 # -------------------------------------------------------------------- parser
+def _add_pipeline_arguments(
+    parser: argparse.ArgumentParser, *flags: str, climate="pittsburgh", season="winter"
+) -> None:
+    """Add the named ones of ``--climate``/``--season``/``--seed``/``--decision-data``."""
+    if "climate" in flags:
+        parser.add_argument("--climate", default=climate, help="city name or climate alias")
+    if "season" in flags:
+        parser.add_argument("--season", default=season, choices=["winter", "summer"])
+    if "seed" in flags:
+        parser.add_argument("--seed", type=int, default=0)
+    if "decision-data" in flags:
+        parser.add_argument(
+            "--decision-data",
+            type=int,
+            default=None,
+            help="decision-dataset size of an extraction (default: the preset's)",
+        )
+
+
+def _add_server_arguments(
+    parser: argparse.ArgumentParser, shards: int, timeout: Optional[float]
+) -> None:
+    """Add the sharded server's ``--shards``/``--timeout``/``--retries``/``--degraded``."""
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=shards,
+        help=(
+            "worker processes for the sharded server (1 serves in process; "
+            ">1 spawns workers over the shared-memory transport)"
+        ),
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=timeout,
+        help="seconds to wait on a shard per attempt before restarting it"
+        + (" (default: 1.0 for serve-faults, 10.0 for fleet)" if timeout is None else ""),
+    )
+    parser.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        help="re-dispatch attempts for a failed shard slice (after restart)",
+    )
+    parser.add_argument(
+        "--degraded",
+        default="fail",
+        choices=["fail", "fallback"],
+        help=(
+            "when the retry budget is exhausted: 'fail' raises, 'fallback' "
+            "serves the slice with a parent-side in-process server"
+        ),
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1754,8 +1672,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="evaluate a registered agent on a scenario")
     run.add_argument("--agent", default="rule_based", help="registered agent name or alias")
-    run.add_argument("--climate", default="pittsburgh", help="city name or climate alias")
-    run.add_argument("--season", default="winter", choices=["winter", "summer"])
+    _add_pipeline_arguments(run, "climate", "season", "seed")
     run.add_argument("--building", default="office", help="building variant")
     run.add_argument(
         "--disturbance",
@@ -1765,7 +1682,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--days", type=int, default=7, help="episode length in days")
     run.add_argument("--steps", type=int, default=None, help="cap on steps per episode")
     run.add_argument("--episodes", type=int, default=1)
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--backend",
         default="serial",
@@ -1795,11 +1711,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     extract = sub.add_parser("extract", help="run the extract-verify-deploy pipeline")
-    extract.add_argument("--climate", default="pittsburgh")
-    extract.add_argument("--season", default="winter", choices=["winter", "summer"])
-    extract.add_argument("--seed", type=int, default=0)
+    _add_pipeline_arguments(extract, "climate", "season", "seed", "decision-data")
     extract.add_argument("--preset", default="paper", choices=["paper", "tiny"])
-    extract.add_argument("--decision-data", type=int, default=None)
     extract.add_argument(
         "--dtype",
         default=None,
@@ -1828,8 +1741,7 @@ def build_parser() -> argparse.ArgumentParser:
     agents.set_defaults(func=cmd_agents)
 
     scenarios = sub.add_parser("scenarios", help="list the scenario grid")
-    scenarios.add_argument("--climate", default=None)
-    scenarios.add_argument("--season", default=None, choices=["winter", "summer"])
+    _add_pipeline_arguments(scenarios, "climate", "season", climate=None, season=None)
     scenarios.add_argument(
         "--disturbances",
         action="store_true",
@@ -1842,8 +1754,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     policies = sub.add_parser("policies", help="list/prune/verify the policy store")
     policies.add_argument("--store", default=None, metavar="PATH", help="store root (default: $REPRO_POLICY_STORE or ~/.cache/repro/policy-store)")
-    policies.add_argument("--climate", default=None, help="filter by city")
-    policies.add_argument("--season", default=None, choices=["winter", "summer"])
+    _add_pipeline_arguments(policies, "climate", "season", climate=None, season=None)
     policies.add_argument(
         "--prune-keep",
         type=int,
@@ -1871,42 +1782,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", default=None, metavar="PATH", help="policy store root")
     serve.add_argument("--requests", type=int, default=10000, help="total requests to serve")
     serve.add_argument("--batch-size", type=int, default=256, help="requests per server batch")
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for the sharded server (1 serves in process; "
-            ">1 spawns workers over the shared-memory transport)"
-        ),
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=60.0,
-        help="seconds to wait on a shard per attempt before restarting it",
-    )
-    serve.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="re-dispatch attempts for a failed shard slice (after restart)",
-    )
-    serve.add_argument(
-        "--degraded",
-        default="fail",
-        choices=["fail", "fallback"],
-        help=(
-            "when the retry budget is exhausted: 'fail' raises, 'fallback' "
-            "serves the slice with a parent-side in-process server"
-        ),
-    )
-    serve.add_argument("--climate", default="pittsburgh", help="city for auto-extraction")
-    serve.add_argument("--season", default="winter", choices=["winter", "summer"])
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--decision-data", type=int, default=None, help="decision-dataset size for auto-extraction"
-    )
+    _add_server_arguments(serve, shards=1, timeout=60.0)
+    _add_pipeline_arguments(serve, "climate", "season", "seed", "decision-data")
     serve.add_argument(
         "--arena",
         nargs="?",
@@ -1950,17 +1827,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=16,
         help="distinct disturbance traces per group (tiled across the buildings)",
     )
-    fleet.add_argument(
-        "--shards", type=int, default=1, help="serving worker processes (1 = in-process)"
-    )
-    fleet.add_argument("--timeout", type=float, default=10.0, help="per-attempt shard timeout seconds")
-    fleet.add_argument("--retries", type=int, default=2, help="re-dispatch attempts per failed slice")
-    fleet.add_argument(
-        "--degraded",
-        default="fail",
-        choices=["fail", "fallback"],
-        help="server behaviour when the retry budget is exhausted",
-    )
+    _add_server_arguments(fleet, shards=1, timeout=10.0)
     fleet.add_argument(
         "--canary",
         type=float,
@@ -2010,10 +1877,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the hysteresis degraded mode (failed ticks become lost ticks)",
     )
     fleet.add_argument("--store", default=None, metavar="PATH", help="policy store root")
-    fleet.add_argument("--seed", type=int, default=0)
-    fleet.add_argument(
-        "--decision-data", type=int, default=None, help="decision-dataset size for auto-extraction"
-    )
+    _add_pipeline_arguments(fleet, "seed", "decision-data")
     fleet.add_argument(
         "--stats-json",
         default=None,
@@ -2052,11 +1916,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument("--agent", default="rule_based")
-    bench.add_argument("--climate", default="pittsburgh")
-    bench.add_argument("--season", default="winter", choices=["winter", "summer"])
+    _add_pipeline_arguments(bench, "climate", "season", "seed", "decision-data")
     bench.add_argument("--days", type=int, default=1)
     bench.add_argument("--episodes", type=int, default=3)
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
         "--backend", default="serial", choices=["serial", "batched", "process"]
     )
@@ -2089,36 +1951,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--ticks", type=int, default=48, help="control ticks per phase (fleet target)"
     )
-    bench.add_argument(
-        "--decision-data",
-        type=int,
-        default=None,
-        help="decision-dataset size for auto-extraction (fleet target)",
-    )
-    bench.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="worker processes (serve-sharded / serve-faults targets)",
-    )
-    bench.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-attempt shard timeout in seconds (serve-faults; default 1.0)",
-    )
-    bench.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="re-dispatch attempts for a failed slice (serve-faults target)",
-    )
-    bench.add_argument(
-        "--degraded",
-        default="fail",
-        choices=["fail", "fallback"],
-        help="exhausted-budget policy under faults (serve-faults target)",
-    )
+    _add_server_arguments(bench, shards=4, timeout=None)
     bench.add_argument(
         "--faults",
         default=None,
@@ -2151,6 +1984,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except CLIError as exc:
         # User-input problems (bad agent/climate/scenario names, invalid
