@@ -25,8 +25,16 @@ import sys
 #: The packages whose public API must be fully documented (dtypes, shapes and
 #: shared-memory ownership live in these docstrings — see docs/serving.md;
 #: lint rule semantics live in repro.analysis — see docs/static-analysis.md;
-#: the inference network's exactness and buffer contract lives in repro.nn).
-DEFAULT_SCOPE = ["repro.data", "repro.serving", "repro.analysis", "repro.fleet", "repro.nn"]
+#: the inference network's exactness and buffer contract lives in repro.nn;
+#: the scalar plant's bit-exactness contract lives in repro.buildings).
+DEFAULT_SCOPE = [
+    "repro.data",
+    "repro.serving",
+    "repro.analysis",
+    "repro.fleet",
+    "repro.nn",
+    "repro.buildings",
+]
 
 
 def iter_modules(package_name: str):

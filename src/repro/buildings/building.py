@@ -17,11 +17,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.buildings.hvac import HVACUnit
+from repro.buildings.hvac import HVACUnit, check_setpoints
 from repro.buildings.thermal import (
     ThermalNetwork,
     ThermalState,
-    ZoneGains,
     internal_gain_for_zone,
     solar_gain_for_zone,
 )
@@ -75,24 +74,29 @@ class Building:
     # ------------------------------------------------------------------ state
     @property
     def state(self) -> ThermalState:
+        """The current thermal state (zone temperatures in network order)."""
         return self._state
 
     @property
     def zone_temperatures(self) -> Dict[str, float]:
-        return {
-            name: float(self._state.temperatures[i])
-            for i, name in enumerate(self.network.zone_names)
-        }
+        """Zone name to current temperature (degrees C), in network order."""
+        return dict(zip(self.network.zone_names, self._state.temperatures.tolist()))
 
     @property
     def controlled_zone_temperature(self) -> float:
+        """Current temperature of the controlled zone (the MDP state ``s_t``)."""
         return float(self._state.temperatures[self.network.zone_index(self.controlled_zone)])
 
     def reset(self, initial_temperature_c: float = 20.0, jitter_std: float = 0.0,
               rng: Optional[np.random.Generator] = None) -> Dict[str, float]:
-        """Reset zone temperatures; optional per-zone Gaussian jitter."""
+        """Reset zone temperatures; optional per-zone Gaussian jitter drawn from ``rng``.
+
+        Raises ``ValueError`` when ``jitter_std > 0`` comes without ``rng``.
+        """
+        if jitter_std > 0.0 and rng is None:
+            raise ValueError("jitter_std > 0 needs an rng to draw the jitter from")
         self._state = self.network.initial_state(initial_temperature_c)
-        if jitter_std > 0.0 and rng is not None:
+        if jitter_std > 0.0:
             self._state.temperatures += rng.normal(0.0, jitter_std, size=len(self._state))
         return self.zone_temperatures
 
@@ -113,43 +117,59 @@ class Building:
         The HVAC thermal output is re-evaluated on a sub-interval grid
         (``hvac_substep_seconds``) so the thermostat reacts as the zone
         temperature moves within the control step, which mirrors how a real
-        terminal unit modulates between 15-minute control decisions.
+        terminal unit modulates between 15-minute control decisions.  A
+        heating setpoint above the cooling setpoint raises ``ValueError``
+        before the state changes.
+
+        Exactness contract: every field of the result is bit-identical to a
+        per-zone evaluation through :meth:`HVACUnit.evaluate` and
+        :class:`ZoneGains`, and to the batched environment's plant.  Each zone's
+        gain is ``(hvac + solar) + internal``; solar and internal gains are
+        computed once per control step because they are constant over it,
+        which changes no bit; the energy meters sum zone by zone, then sub-step
+        by sub-step; and no product or quotient is folded or precomputed.
         """
         if duration_seconds <= 0:
             raise ValueError("duration_seconds must be positive")
+        check_setpoints(heating_setpoint_c, cooling_setpoint_c)
 
+        # Zones are in network order (both come from the constructor's list).
+        per_zone = [
+            (
+                self.hvac_units[zone.name],
+                solar_gain_for_zone(zone, solar_radiation_w_m2),
+                internal_gain_for_zone(
+                    zone, occupant_count, occupied, zone.floor_area_m2 / self._total_area
+                ),
+            )
+            for zone in self.zones
+        ]
         electric_energy_j = 0.0
         thermal_energy_j = 0.0
         heating_energy_j = 0.0
         cooling_energy_j = 0.0
-        last_modes: Dict[str, str] = {}
+        modes: List[str] = []
 
         remaining = float(duration_seconds)
         while remaining > 1e-9:
             interval = min(self.hvac_substep_seconds, remaining)
-            gains: Dict[str, ZoneGains] = {}
-            for zone in self.zones:
-                idx = self.network.zone_index(zone.name)
-                zone_temp = float(self._state.temperatures[idx])
-                hvac = self.hvac_units[zone.name].evaluate(
-                    zone_temperature_c=zone_temp,
-                    heating_setpoint_c=heating_setpoint_c,
-                    cooling_setpoint_c=cooling_setpoint_c,
-                    occupied=occupied,
+            gains: List[float] = []
+            modes = []
+            for (unit, solar_w, internal_w), temperature in zip(
+                per_zone, self._state.temperatures.tolist()
+            ):
+                thermal_w, electric_w, mode = unit.power(
+                    temperature, heating_setpoint_c, cooling_setpoint_c, occupied
                 )
-                area_share = zone.floor_area_m2 / self._total_area
-                gains[zone.name] = ZoneGains(
-                    hvac_thermal_w=hvac.thermal_power_w,
-                    solar_w=solar_gain_for_zone(zone, solar_radiation_w_m2),
-                    internal_w=internal_gain_for_zone(zone, occupant_count, occupied, area_share),
-                )
-                electric_energy_j += hvac.electric_power_w * interval
-                thermal_energy_j += abs(hvac.thermal_power_w) * interval
-                if hvac.mode == "heating":
-                    heating_energy_j += abs(hvac.thermal_power_w) * interval
-                elif hvac.mode == "cooling":
-                    cooling_energy_j += abs(hvac.thermal_power_w) * interval
-                last_modes[zone.name] = hvac.mode
+                gains.append(thermal_w + solar_w + internal_w)
+                electric_energy_j += electric_w * interval
+                zone_thermal_j = abs(thermal_w) * interval
+                thermal_energy_j += zone_thermal_j
+                if mode == "heating":
+                    heating_energy_j += zone_thermal_j
+                elif mode == "cooling":
+                    cooling_energy_j += zone_thermal_j
+                modes.append(mode)
 
             self._state = self.network.step(
                 self._state,
@@ -168,7 +188,7 @@ class Building:
             hvac_thermal_energy_kwh=thermal_energy_j * joules_to_kwh,
             heating_energy_kwh=heating_energy_j * joules_to_kwh,
             cooling_energy_kwh=cooling_energy_j * joules_to_kwh,
-            zone_modes=last_modes,
+            zone_modes={zone.name: mode for zone, mode in zip(self.zones, modes)},
         )
 
 

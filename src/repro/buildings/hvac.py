@@ -61,6 +61,36 @@ class HVACUnit:
         self.deadband_k = deadband_k
         self.parasitic_power_w = parasitic_power_w
 
+    def power(
+        self,
+        zone_temperature_c: float,
+        heating_setpoint_c: float,
+        cooling_setpoint_c: float,
+        occupied: bool = True,
+    ) -> Tuple[float, float, str]:
+        """``(thermal_w, electric_w, mode)`` of the unit, as plain floats and a mode name.
+
+        The arithmetic of :meth:`evaluate` without the setpoint check or the
+        result object: callers that evaluate many units under one setpoint
+        pair (:meth:`repro.buildings.building.Building.step`) check the pair
+        once with :func:`check_setpoints` instead.
+        """
+        heating_error = heating_setpoint_c - zone_temperature_c
+        if heating_error > self.deadband_k:
+            thermal = min(
+                self.proportional_gain_w_per_k * heating_error, self.zone.max_heating_power_w
+            )
+            return thermal, thermal / self.heating_cop + self.parasitic_power_w, "heating"
+
+        cooling_error = zone_temperature_c - cooling_setpoint_c
+        if cooling_error > self.deadband_k:
+            thermal = min(
+                self.proportional_gain_w_per_k * cooling_error, self.zone.max_cooling_power_w
+            )
+            return -thermal, thermal / self.cooling_cop + self.parasitic_power_w, "cooling"
+
+        return 0.0, self.parasitic_power_w if occupied else 0.0, "idle"
+
     def evaluate(
         self,
         zone_temperature_c: float,
@@ -69,30 +99,20 @@ class HVACUnit:
         occupied: bool = True,
     ) -> HVACResult:
         """Compute the thermal power injected into the zone and electric draw."""
-        if heating_setpoint_c > cooling_setpoint_c:
-            raise ValueError(
-                "heating setpoint must not exceed cooling setpoint "
-                f"({heating_setpoint_c} > {cooling_setpoint_c})"
-            )
-        heating_error = heating_setpoint_c - zone_temperature_c
-        cooling_error = zone_temperature_c - cooling_setpoint_c
+        check_setpoints(heating_setpoint_c, cooling_setpoint_c)
+        thermal, electric, mode = self.power(
+            zone_temperature_c, heating_setpoint_c, cooling_setpoint_c, occupied
+        )
+        return HVACResult(thermal_power_w=thermal, electric_power_w=electric, mode=mode)
 
-        if heating_error > self.deadband_k:
-            thermal = min(
-                self.proportional_gain_w_per_k * heating_error, self.zone.max_heating_power_w
-            )
-            electric = thermal / self.heating_cop + self.parasitic_power_w
-            return HVACResult(thermal_power_w=thermal, electric_power_w=electric, mode="heating")
 
-        if cooling_error > self.deadband_k:
-            thermal = min(
-                self.proportional_gain_w_per_k * cooling_error, self.zone.max_cooling_power_w
-            )
-            electric = thermal / self.cooling_cop + self.parasitic_power_w
-            return HVACResult(thermal_power_w=-thermal, electric_power_w=electric, mode="cooling")
-
-        idle_draw = self.parasitic_power_w if occupied else 0.0
-        return HVACResult(thermal_power_w=0.0, electric_power_w=idle_draw, mode="idle")
+def check_setpoints(heating_setpoint_c: float, cooling_setpoint_c: float) -> None:
+    """Raise ``ValueError`` when the heating setpoint exceeds the cooling setpoint."""
+    if heating_setpoint_c > cooling_setpoint_c:
+        raise ValueError(
+            "heating setpoint must not exceed cooling setpoint "
+            f"({heating_setpoint_c} > {cooling_setpoint_c})"
+        )
 
 
 @dataclass(frozen=True)
@@ -133,6 +153,7 @@ class BatchedHVACPlant:
 
     @property
     def batch_size(self) -> int:
+        """Number of buildings ``B`` whose units the plant stacks."""
         return self.heating_cop.shape[0]
 
     def evaluate(

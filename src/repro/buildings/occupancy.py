@@ -51,6 +51,7 @@ class OccupancySchedule:
             raise ValueError("lunch_dip_fraction must be in [0, 1)")
 
     def is_working_day(self, day_index: int) -> bool:
+        """Whether ``day_index`` (0 = the first Monday) falls on a working day."""
         return (day_index % 7) in set(self.working_days)
 
     def is_occupied(self, day_index: int, hour_of_day: float) -> bool:
@@ -110,6 +111,7 @@ class OccupancySeries:
         return len(self.counts)
 
     def at(self, step: int) -> tuple:
+        """``(occupant count, occupied flag)`` at ``step``, wrapping past the end."""
         i = int(step) % len(self)
         return float(self.counts[i]), bool(self.occupied[i])
 

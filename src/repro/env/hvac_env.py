@@ -30,7 +30,6 @@ from repro.env.disturbances import DisturbanceSchedule, DisturbanceSpec, get_dis
 from repro.env.reward import RewardBreakdown, compute_reward
 from repro.env.spaces import Box, SetpointSpace
 from repro.utils.config import ActionSpaceConfig, ExperimentConfig, RewardConfig, SimulationConfig
-from repro.utils.rng import RNGLike, ensure_rng
 from repro.weather.tmy import WeatherSeries, generate_weather
 
 #: Canonical ordering of the observation vector (Table 1 of the paper).
@@ -108,8 +107,6 @@ class HVACEnvironment:
             names=list(OBSERVATION_NAMES),
         )
         self._step_index = 0
-        self._rng = ensure_rng(self.config.seed)
-        self._last_observation: Optional[np.ndarray] = None
         # Sensor-fault state: the last reported zone temperature (dropout
         # repeats it) and the actuator-fault state (last applied setpoint
         # pair + steps since it changed, for stuck/cycling holds).
@@ -207,17 +204,24 @@ class HVACEnvironment:
         return float(reported)
 
     # ------------------------------------------------------------------ reset
-    def reset(self, seed: RNGLike = None) -> Tuple[np.ndarray, Dict[str, float]]:
-        """Reset the plant to the start of the episode."""
+    def reset(self, seed: None = None) -> Tuple[np.ndarray, Dict[str, float]]:
+        """Reset the plant to the start of the episode.
+
+        The episode (weather, occupancy, faults) is fixed by ``config.seed``
+        when the environment is built, so a ``seed`` other than ``None`` is
+        rejected with ``ValueError`` rather than ignored.
+        """
         if seed is not None:
-            self._rng = ensure_rng(seed)
+            raise ValueError(
+                f"reset(seed={seed!r}) cannot re-seed the episode: it is fixed by "
+                "config.seed when the environment is built; build a new environment instead"
+            )
         self._step_index = 0
         self._reported_zone = None
         self._fault_last = None
         self._fault_since_change = 0
         self.building.reset(self.initial_zone_temperature)
         obs = self.observation()
-        self._last_observation = obs
         info = {
             "step": 0,
             "hour_of_day": self.hour_of_day_at(0),
@@ -272,7 +276,6 @@ class HVACEnvironment:
             observation = np.concatenate(
                 ([final_zone], self.disturbance_at(self._step_index - 1))
             )
-        self._last_observation = observation
 
         comfort = self.config.reward.comfort
         info = {

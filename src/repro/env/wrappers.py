@@ -90,8 +90,8 @@ class EpisodeRecorder:
         self.record = EpisodeRecord()
 
     def reset(self, seed=None) -> Tuple[np.ndarray, Dict[str, float]]:
-        self.record = EpisodeRecord()
         observation, info = self.environment.reset(seed)
+        self.record = EpisodeRecord()
         self.record.observations.append(observation)
         return observation, info
 
