@@ -17,6 +17,7 @@ Exits non-zero listing every undocumented symbol.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pkgutil
@@ -26,7 +27,9 @@ import sys
 #: shared-memory ownership live in these docstrings — see docs/serving.md;
 #: lint rule semantics live in repro.analysis — see docs/static-analysis.md;
 #: the inference network's exactness and buffer contract lives in repro.nn;
-#: the scalar plant's bit-exactness contract lives in repro.buildings).
+#: the scalar plant's bit-exactness contract lives in repro.buildings; the
+#: fault layer's tier order and emission index, and the exactness of the
+#: columnar setpoint clip and lookup, live in repro.env).
 DEFAULT_SCOPE = [
     "repro.data",
     "repro.serving",
@@ -34,6 +37,7 @@ DEFAULT_SCOPE = [
     "repro.fleet",
     "repro.nn",
     "repro.buildings",
+    "repro.env",
 ]
 
 
@@ -93,7 +97,16 @@ def audit_class(cls, label: str) -> list:
 
 
 def main(argv) -> int:
-    scope = argv or DEFAULT_SCOPE
+    parser = argparse.ArgumentParser(
+        description="Fail if a public symbol of the audited packages lacks a docstring."
+    )
+    parser.add_argument(
+        "packages",
+        nargs="*",
+        metavar="PACKAGE",
+        help=f"packages to audit (default: {' '.join(DEFAULT_SCOPE)})",
+    )
+    scope = parser.parse_args(argv).packages or DEFAULT_SCOPE
     missing = []
     for package_name in scope:
         for module in iter_modules(package_name):

@@ -27,10 +27,6 @@ from repro.env.hvac_env import HVACEnvironment
 from repro.utils.config import ComfortConfig
 from repro.utils.rng import RNGLike
 
-#: Setpoint codes for the vectorised (heating, cooling) -> index lookup.
-#: Setpoints are small integers, so ``h * _CODE_BASE + c`` is collision-free.
-_CODE_BASE = 1024
-
 
 @register_agent(
     "pid",
@@ -131,15 +127,14 @@ class PIDAgent(BaseAgent):
     ) -> ActionBatch:
         """Vectorised PID update over the whole batch.
 
-        Per-agent gains and the action-space clip bounds are compiled once per
-        (agents, environments) pairing; each tick is then pure array math plus
-        a state gather/scatter on the agent instances, with the (heating,
-        cooling) -> index lookup done by binary search over setpoint codes.
-        Every operation mirrors :meth:`select_action` element-wise (python
-        ``round``/``min``/``max`` and ``np.round``/``np.minimum``/
-        ``np.maximum`` agree bit-for-bit on these values), so batched
-        decisions equal the per-episode path exactly.  Falls back to the
-        per-episode loop when the environments do not share an action space.
+        Per-agent gains are compiled once per (agents, environments)
+        pairing; each tick is then pure array math plus a state
+        gather/scatter on the agent instances.  The shared action space clips
+        with :meth:`~repro.env.spaces.SetpointSpace.clip_arrays` and looks the
+        pairs up with :meth:`~repro.env.spaces.SetpointSpace.indices`, both
+        exact element by element, so batched decisions equal the per-episode
+        path exactly.  Falls back to the per-episode loop when the
+        environments do not share an action space.
         """
         lead = agents[0]
         key = tuple(id(a) for a in agents) + tuple(id(e) for e in environments)
@@ -161,8 +156,7 @@ class PIDAgent(BaseAgent):
             windup,
             band,
             off_idx,
-            clip,
-            indexer,
+            space,
         ) = compiled
 
         count = len(agents)
@@ -179,8 +173,8 @@ class PIDAgent(BaseAgent):
         derivative = np.where(has_prev, error - prev_error, 0.0)
         control = kp * error + ki * new_integral + kd * derivative
         center = midpoint + control
-        heating, cooling = clip(center - band, center + band)
-        indices = np.where(occ, indexer(heating, cooling), off_idx)
+        heating, cooling = space.clip_arrays(center - band, center + band)
+        indices = np.where(occ, space.indices(heating, cooling), off_idx)
 
         for i, agent in enumerate(agents):
             if occ[i]:
@@ -213,7 +207,6 @@ def _compile_batch(
     windup = np.empty(count, dtype=float)
     band = np.empty(count, dtype=float)
     off_idx = np.empty(count, dtype=np.int64)
-    bounds = np.empty((count, 4), dtype=float)
     for i, (agent, env) in enumerate(zip(agents, environments)):
         actions = env.config.actions
         midpoint[i] = agent.comfort.midpoint
@@ -225,38 +218,5 @@ def _compile_batch(
         off_idx[i] = env.action_space.to_index(
             *actions.clip(*actions.off_setpoints())
         )
-        bounds[i] = (
-            actions.heating_min,
-            actions.heating_max,
-            actions.cooling_min,
-            actions.cooling_max,
-        )
-    hmin, hmax, cmin, cmax = bounds[:, 0], bounds[:, 1], bounds[:, 2], bounds[:, 3]
-
-    def clip(heating: np.ndarray, cooling: np.ndarray):
-        h = np.round(heating)
-        c = np.round(cooling)
-        h = np.minimum(np.maximum(h, hmin), hmax)
-        c = np.minimum(np.maximum(c, cmin), cmax)
-        bad = h > c
-        c_fix = np.minimum(np.maximum(h, cmin), cmax)
-        h_fix = np.minimum(h, c_fix)
-        return np.where(bad, h_fix, h), np.where(bad, c_fix, c)
-
-    pair_table = np.array(first_pairs, dtype=np.int64)
-    codes = pair_table[:, 0] * _CODE_BASE + pair_table[:, 1]
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-
-    def indexer(heating: np.ndarray, cooling: np.ndarray) -> np.ndarray:
-        query = (
-            heating.astype(np.int64) * _CODE_BASE + cooling.astype(np.int64)
-        )
-        slots = np.searchsorted(sorted_codes, query)
-        if (slots >= len(sorted_codes)).any() or (
-            sorted_codes[np.minimum(slots, len(sorted_codes) - 1)] != query
-        ).any():
-            raise ValueError("Clipped setpoint pair outside the action table")
-        return order[slots]
-
-    return (occupied, midpoint, kp, ki, kd, windup, band, off_idx, clip, indexer)
+    space = environments[0].action_space
+    return (occupied, midpoint, kp, ki, kd, windup, band, off_idx, space)

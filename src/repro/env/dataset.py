@@ -46,9 +46,11 @@ class TransitionDataset:
 
     # ------------------------------------------------------------ collection
     def add(self, transition: Transition) -> None:
+        """Append one transition."""
         self._transitions.append(transition)
 
     def extend(self, transitions: Iterable[Transition]) -> None:
+        """Append every transition of ``transitions``, in order."""
         self._transitions.extend(transitions)
 
     def __len__(self) -> int:
@@ -78,9 +80,11 @@ class TransitionDataset:
         return np.stack([t.policy_input for t in self._transitions])
 
     def states(self) -> np.ndarray:
+        """The ``(N,)`` float64 states ``s`` (observed zone temperatures)."""
         return np.array([t.state for t in self._transitions], dtype=np.float64)
 
     def actions(self) -> np.ndarray:
+        """The ``(N, 2)`` float64 (heating, cooling) actions ``a`` of the transitions."""
         return np.array([t.action for t in self._transitions], dtype=np.float64)
 
     # ------------------------------------------------------------------ split

@@ -34,10 +34,14 @@ a disabled or zero-magnitude profile *bit-identical* to the clean env):
    the same unit objects, so scalar and batched physics stay bit-identical;
 3. **observation level** — Gaussian sensor noise plus dropout-and-hold on
    the reported zone temperature (the sensor repeats its last report while
-   dropped), applied by the environments at every observation emission;
+   dropped), at every observation emission;
 4. **action level** — demand-response setback, heat-pump minimum-cycle
    holds and stuck dampers rewrite the *applied* setpoints inside
    ``step()``; telemetry reports the applied pair and flags the overrides.
+
+Tiers 3 and 4 run in one columnar :class:`FaultLayer`, one row per episode:
+the batched environment calls it with its whole batch and the scalar one as
+a batch of one, so the two cannot drift apart.
 
 Every schedule array is precomputed at realisation, so the per-step fault
 path is pure indexing — no RNG draws on the hot path, and identical
@@ -49,11 +53,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.buildings.occupancy import OccupancySeries
+from repro.env.spaces import SetpointSpace
 from repro.weather.tmy import WeatherSeries
 
 #: Salt mixed into the episode seed so disturbance streams never collide with
@@ -334,11 +339,6 @@ class DisturbanceSchedule:
 
     # --------------------------------------------------------------- activity
     @property
-    def sensor_active(self) -> bool:
-        """Whether this episode has observation-level faults to apply."""
-        return self.zone_noise is not None or self.sensor_dropped is not None
-
-    @property
     def action_active(self) -> bool:
         """Whether this episode has action-level faults to apply."""
         return (
@@ -406,6 +406,137 @@ class DisturbanceSchedule:
                 max_heating_power_w=unit.zone.max_heating_power_w * factor,
                 max_cooling_power_w=unit.zone.max_cooling_power_w * factor,
             )
+
+
+class FaultLayer:
+    """Tiers 3 and 4 of the fault model, columnar: one row per episode.
+
+    :class:`~repro.env.vector_env.BatchedHVACEnvironment` calls it with its
+    batch and :class:`~repro.env.hvac_env.HVACEnvironment` with a batch of
+    one; no other code applies these tiers.  :meth:`build` returns ``None``
+    when every episode is clean, so a clean environment pays one ``is None``
+    check per hot path.
+
+    * :meth:`report` (tier 3) runs once per observation emission, indexed 0
+      at reset and ``t + 1`` after step ``t`` (hence the ``num_steps + 1``
+      sensor entries of a schedule).
+    * :meth:`apply` (tier 4) runs once per control step ``t``:
+      demand-response setback, then the cycling hold, then stuck dampers.
+
+    A row without a tier's fault (a ``None`` schedule is a clean row) passes
+    through that tier bit for bit, via the false branch of ``np.where``.
+    """
+
+    def __init__(
+        self, schedules: Sequence[Optional[DisturbanceSchedule]], space: SetpointSpace
+    ):
+        faulted = [s for s in schedules if s is not None]
+        if not faulted:
+            raise ValueError("A fault layer needs at least one faulted episode")
+        if any(s.num_steps != faulted[0].num_steps for s in faulted):
+            raise ValueError(
+                "All disturbance schedules in a batch must cover the episode length"
+            )
+        self.batch_size = len(schedules)
+        self.space = space
+
+        def stack(field: str) -> Optional[np.ndarray]:
+            rows = [None if s is None else getattr(s, field) for s in schedules]
+            template = next((row for row in rows if row is not None), None)
+            if template is None:
+                return None
+            return np.stack([np.zeros_like(template) if r is None else r for r in rows])
+
+        self._noise = stack("zone_noise")
+        self._noise_rows = np.array(
+            [s is not None and s.zone_noise is not None for s in schedules]
+        )
+        self._dropped = stack("sensor_dropped")
+        self._stuck = stack("stuck")
+        self._dr = stack("dr_active")
+        self._setback = np.array(
+            [0.0 if s is None else s.spec.demand_response_setback_c for s in schedules]
+        )
+        self._cycle_limit = np.array(
+            [0 if s is None else s.spec.cycling_limit_steps for s in schedules]
+        )
+        self._action_faults = any(s.action_active for s in faulted)
+        self.reset()
+
+    @classmethod
+    def build(
+        cls, schedules: Sequence[Optional[DisturbanceSchedule]], space: SetpointSpace
+    ) -> Optional["FaultLayer"]:
+        """The layer over ``schedules``, or ``None`` when every episode is clean."""
+        if all(s is None for s in schedules):
+            return None
+        return cls(schedules, space)
+
+    def reset(self) -> None:
+        """Forget the last report and the last applied pair (episode start)."""
+        self._reported: Optional[np.ndarray] = None
+        self._last: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._since = np.zeros(self.batch_size, dtype=np.int64)
+
+    def report(self, zone: np.ndarray, emission: int) -> np.ndarray:
+        """Tier 3: the sensors' ``(B,)`` report of the true zone temperatures.
+
+        Noise is added first; a dropped emission then repeats the previous
+        report, except for the first report after :meth:`reset`, which always
+        lands.  Repeated calls at one emission return the same report.
+        """
+        if self._noise is not None:
+            zone = np.where(self._noise_rows, zone + self._noise[:, emission], zone)
+        if self._dropped is not None:
+            if self._reported is not None:
+                zone = np.where(self._dropped[:, emission], self._reported, zone)
+            self._reported = zone.copy()
+        return zone
+
+    def apply(
+        self, heating: np.ndarray, cooling: np.ndarray, step: int
+    ) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
+        """Tier 4: the applied ``(B,)`` setpoints for the commanded ones, and telemetry.
+
+        A demand-response event relaxes the pair by ``demand_response_setback_c``
+        (heating down, cooling up) onto the table
+        (:meth:`SetpointSpace.clip_arrays`).  The cycling hold then keeps the
+        last applied pair while it has stood unchanged for fewer than
+        ``cycling_limit_steps`` steps, and a stuck damper keeps it regardless.
+        The telemetry columns are ``sensor_dropped``, ``actuator_stuck``
+        (either hold) and ``demand_response``, as floats, in that order.
+        """
+        zeros = np.zeros(self.batch_size)
+        columns = {
+            "sensor_dropped": (
+                zeros if self._dropped is None else self._dropped[:, step].astype(float)
+            ),
+            "actuator_stuck": zeros,
+            "demand_response": zeros,
+        }
+        if not self._action_faults:
+            return heating, cooling, columns
+        if self._dr is not None:
+            dr = self._dr[:, step]
+            columns["demand_response"] = dr.astype(float)
+            if dr.any():
+                relaxed_h, relaxed_c = self.space.clip_arrays(
+                    heating - self._setback, cooling + self._setback
+                )
+                heating = np.where(dr, relaxed_h, heating)
+                cooling = np.where(dr, relaxed_c, cooling)
+        if self._last is not None:
+            last_h, last_c = self._last
+            changed = (heating != last_h) | (cooling != last_c)
+            held = changed & (self._since < self._cycle_limit)
+            if self._stuck is not None:
+                held |= self._stuck[:, step]
+            heating = np.where(held, last_h, heating)
+            cooling = np.where(held, last_c, cooling)
+            self._since = np.where(changed & ~held, 0, self._since + 1)
+            columns["actuator_stuck"] = held.astype(float)
+        self._last = (heating.astype(float), cooling.astype(float))
+        return heating, cooling, columns
 
 
 #: Named disturbance presets — the fault classes of the robustness matrix.

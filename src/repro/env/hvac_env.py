@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.buildings.building import Building, make_five_zone_building
 from repro.buildings.occupancy import OccupancySeries, office_schedule
-from repro.env.disturbances import DisturbanceSchedule, DisturbanceSpec, get_disturbance
+from repro.env.disturbances import (
+    DisturbanceSchedule,
+    DisturbanceSpec,
+    FaultLayer,
+    get_disturbance,
+)
 from repro.env.reward import RewardBreakdown, compute_reward
 from repro.env.spaces import Box, SetpointSpace
 from repro.utils.config import ActionSpaceConfig, ExperimentConfig, RewardConfig, SimulationConfig
@@ -107,12 +112,8 @@ class HVACEnvironment:
             names=list(OBSERVATION_NAMES),
         )
         self._step_index = 0
-        # Sensor-fault state: the last reported zone temperature (dropout
-        # repeats it) and the actuator-fault state (last applied setpoint
-        # pair + steps since it changed, for stuck/cycling holds).
-        self._reported_zone: Optional[float] = None
-        self._fault_last: Optional[Tuple[int, int]] = None
-        self._fault_since_change = 0
+        # Tiers 3-4 (sensor and action faults) as a batch of one.
+        self._faults = FaultLayer.build([schedule], self.action_space)
 
     # ------------------------------------------------------------------ props
     @property
@@ -122,18 +123,22 @@ class HVACEnvironment:
 
     @property
     def step_index(self) -> int:
+        """Index of the next control step (0 after :meth:`reset`)."""
         return self._step_index
 
     @property
     def step_duration_seconds(self) -> float:
+        """Length of one control step in seconds."""
         return self.config.simulation.minutes_per_step * 60.0
 
     @property
     def observation_names(self) -> List[str]:
+        """The Table-1 observation channel names, in vector order."""
         return list(OBSERVATION_NAMES)
 
     @property
     def disturbance_names(self) -> List[str]:
+        """The disturbance channel names (the observation minus the zone temperature)."""
         return list(DISTURBANCE_NAMES)
 
     @property
@@ -162,6 +167,7 @@ class HVACEnvironment:
         return occupied
 
     def hour_of_day_at(self, step: int) -> float:
+        """Hour of day of ``step`` (wraps past the end of the episode)."""
         return float(self.weather.hour_of_day[int(step) % len(self.weather)])
 
     def disturbance_forecast(self, start_step: int, horizon: int) -> np.ndarray:
@@ -179,29 +185,9 @@ class HVACEnvironment:
         """
         disturbance = self.disturbance_at(self._step_index)
         zone = self.building.controlled_zone_temperature
-        if self._disturbance is not None and self._disturbance.sensor_active:
-            zone = self._report_zone_temperature(zone, self._step_index)
+        if self._faults is not None:
+            zone = float(self._faults.report(np.array([zone]), self._step_index)[0])
         return np.concatenate(([zone], disturbance))
-
-    def _report_zone_temperature(self, true_value: float, emission_index: int) -> float:
-        """The sensor's report for one observation emission (noise + dropout).
-
-        ``emission_index`` counts observation emissions (0 at reset, ``t + 1``
-        after step ``t``); faults are precomputed per emission, so repeated
-        calls at the same index are idempotent.
-        """
-        schedule = self._disturbance
-        reported = true_value
-        if schedule.zone_noise is not None:
-            reported = true_value + schedule.zone_noise[emission_index]
-        if (
-            schedule.sensor_dropped is not None
-            and schedule.sensor_dropped[emission_index]
-            and self._reported_zone is not None
-        ):
-            reported = self._reported_zone
-        self._reported_zone = reported
-        return float(reported)
 
     # ------------------------------------------------------------------ reset
     def reset(self, seed: None = None) -> Tuple[np.ndarray, Dict[str, float]]:
@@ -217,9 +203,8 @@ class HVACEnvironment:
                 "config.seed when the environment is built; build a new environment instead"
             )
         self._step_index = 0
-        self._reported_zone = None
-        self._fault_last = None
-        self._fault_since_change = 0
+        if self._faults is not None:
+            self._faults.reset()
         self.building.reset(self.initial_zone_temperature)
         obs = self.observation()
         info = {
@@ -237,11 +222,12 @@ class HVACEnvironment:
         if step >= self.num_steps:
             raise RuntimeError("Episode is over; call reset() before stepping again")
 
-        stuck_flag = dr_flag = False
-        if self._disturbance is not None and self._disturbance.action_active:
-            heating, cooling, stuck_flag, dr_flag = self._apply_action_faults(
-                heating, cooling, step
+        fault_columns = None
+        if self._faults is not None:
+            applied_h, applied_c, fault_columns = self._faults.apply(
+                np.array([heating]), np.array([cooling]), step
             )
+            heating, cooling = int(applied_h[0]), int(applied_c[0])
 
         disturbance = self.disturbance_at(step)
         occupied = self.occupied_at(step)
@@ -271,8 +257,10 @@ class HVACEnvironment:
             observation = self.observation()
         else:
             final_zone = result.controlled_zone_temperature
-            if self._disturbance is not None and self._disturbance.sensor_active:
-                final_zone = self._report_zone_temperature(final_zone, self._step_index)
+            if self._faults is not None:
+                final_zone = float(
+                    self._faults.report(np.array([final_zone]), self._step_index)[0]
+                )
             observation = np.concatenate(
                 ([final_zone], self.disturbance_at(self._step_index - 1))
             )
@@ -294,15 +282,8 @@ class HVACEnvironment:
                 occupied and not comfort.contains(result.controlled_zone_temperature)
             ),
         }
-        if self._disturbance is not None:
-            schedule = self._disturbance
-            info["sensor_dropped"] = float(
-                bool(
-                    schedule.sensor_dropped is not None and schedule.sensor_dropped[step]
-                )
-            )
-            info["actuator_stuck"] = float(stuck_flag)
-            info["demand_response"] = float(dr_flag)
+        if fault_columns is not None:
+            info.update((key, float(column[0])) for key, column in fault_columns.items())
         return EnvironmentStep(
             observation=observation,
             reward=reward_breakdown.reward,
@@ -312,45 +293,6 @@ class HVACEnvironment:
         )
 
     # ---------------------------------------------------------------- helpers
-    def _apply_action_faults(
-        self, heating: int, cooling: int, step: int
-    ) -> Tuple[int, int, bool, bool]:
-        """Rewrite the commanded setpoints through the action-level faults.
-
-        Order (mirrored exactly by the batched env): demand-response setback,
-        then heat-pump minimum-cycle hold, then stuck damper.  Returns the
-        applied pair plus (actuator-stuck, demand-response) telemetry flags;
-        ``actuator_stuck`` covers both cycling holds and stuck dampers —
-        every case where the plant did not follow the commanded pair.
-        """
-        schedule = self._disturbance
-        dr_flag = bool(schedule.dr_active is not None and schedule.dr_active[step])
-        if dr_flag:
-            setback = schedule.spec.demand_response_setback_c
-            heating, cooling = self.config.actions.clip(
-                heating - setback, cooling + setback
-            )
-        stuck_flag = False
-        if self._fault_last is not None:
-            limit = schedule.spec.cycling_limit_steps
-            if (
-                limit > 0
-                and self._fault_since_change < limit
-                and (heating, cooling) != self._fault_last
-            ):
-                heating, cooling = self._fault_last
-                stuck_flag = True
-            if schedule.stuck is not None and schedule.stuck[step]:
-                heating, cooling = self._fault_last
-                stuck_flag = True
-        pair = (heating, cooling)
-        if self._fault_last is None or pair != self._fault_last:
-            self._fault_since_change = 0
-        else:
-            self._fault_since_change += 1
-        self._fault_last = pair
-        return heating, cooling, stuck_flag, dr_flag
-
     def _resolve_action(self, action: Union[int, Tuple[float, float]]) -> Tuple[int, int]:
         """Accept either a discrete action index or an explicit setpoint pair."""
         if isinstance(action, (tuple, list, np.ndarray)):

@@ -13,9 +13,10 @@ the same five-zone building under a different disturbance trace).
 
 Equivalence guarantee: every array op mirrors the scalar
 :class:`~repro.env.hvac_env.HVACEnvironment` step arithmetic element-wise, in
-the same order, and the thermal kernel is literally shared with the scalar
-path — so batched trajectories are bit-identical to stepping each episode
-alone.  The equivalence test-suite (`tests/test_batch_equivalence.py`) locks
+the same order, and the thermal kernel and the sensor/action fault layer
+(:class:`~repro.env.disturbances.FaultLayer`) are literally shared with the
+scalar path — so batched trajectories are bit-identical to stepping each
+episode alone.  The equivalence test-suite (`tests/test_batch_equivalence.py`) locks
 this in.
 """
 
@@ -29,6 +30,7 @@ import numpy as np
 from repro.buildings.hvac import BatchedHVACPlant
 from repro.buildings.thermal import OCCUPANT_GAIN_W
 from repro.data import ActionBatch, InfoBatch, ObservationBatch
+from repro.env.disturbances import FaultLayer
 from repro.env.hvac_env import HVACEnvironment
 
 
@@ -131,81 +133,11 @@ class BatchedHVACEnvironment:
         self._temperatures = np.full(
             (self.batch_size, len(zones)), 20.0, dtype=float
         )
-        self._stack_disturbance_schedules()
-
-    def _stack_disturbance_schedules(self) -> None:
-        """Stack per-episode fault schedules into ``(B, ...)`` arrays.
-
-        Trace-level perturbations (weather shifts, occupancy surprises) and
-        plant degradation were already applied when each scalar environment
-        was built, so they arrive here through the stacked disturbance matrix
-        and the shared HVAC units; only the observation- and action-level
-        faults need per-step batch state.  A batch with no disturbed episode
-        sets ``_dist_any = False`` and every fault branch below is skipped —
-        the clean hot path is untouched.
-        """
-        schedules = [env.disturbance for env in self.environments]
-        self._dist_any = any(s is not None for s in schedules)
-        if not self._dist_any:
-            return
-        batch, steps = self.batch_size, self.num_steps
-        self._dist_noise = np.zeros((batch, steps + 1))
-        self._dist_noise_rows = np.zeros(batch, dtype=bool)
-        self._dist_dropped = np.zeros((batch, steps + 1), dtype=bool)
-        self._dist_stuck = np.zeros((batch, steps), dtype=bool)
-        self._dist_dr = np.zeros((batch, steps), dtype=bool)
-        self._dist_setback = np.zeros(batch)
-        self._dist_cycle_limit = np.zeros(batch, dtype=np.int64)
-        for i, schedule in enumerate(schedules):
-            if schedule is None:
-                continue
-            if schedule.num_steps != steps:
-                raise ValueError(
-                    "All disturbance schedules in a batch must cover the episode length"
-                )
-            if schedule.zone_noise is not None:
-                self._dist_noise[i] = schedule.zone_noise
-                self._dist_noise_rows[i] = True
-            if schedule.sensor_dropped is not None:
-                self._dist_dropped[i] = schedule.sensor_dropped
-            if schedule.stuck is not None:
-                self._dist_stuck[i] = schedule.stuck
-            if schedule.dr_active is not None:
-                self._dist_dr[i] = schedule.dr_active
-                self._dist_setback[i] = schedule.spec.demand_response_setback_c
-            self._dist_cycle_limit[i] = schedule.spec.cycling_limit_steps
-        self._dist_sensor_any = bool(
-            self._dist_noise_rows.any() or self._dist_dropped.any()
+        # Trace-level faults and plant degradation were applied when each
+        # scalar environment was built; tiers 3-4 run here, one row per episode.
+        self._faults = FaultLayer.build(
+            [env.disturbance for env in self.environments], first.action_space
         )
-        self._dist_action_any = bool(
-            self._dist_stuck.any()
-            or self._dist_dr.any()
-            or (self._dist_cycle_limit > 0).any()
-        )
-        actions = np.array(
-            [
-                (
-                    e.config.actions.heating_min,
-                    e.config.actions.heating_max,
-                    e.config.actions.cooling_min,
-                    e.config.actions.cooling_max,
-                )
-                for e in self.environments
-            ],
-            dtype=float,
-        )
-        self._act_hmin, self._act_hmax = actions[:, 0], actions[:, 1]
-        self._act_cmin, self._act_cmax = actions[:, 2], actions[:, 3]
-        self._reset_fault_state()
-
-    def _reset_fault_state(self) -> None:
-        batch = self.batch_size
-        self._reported_zone = np.zeros(batch)
-        self._has_reported = np.zeros(batch, dtype=bool)
-        self._fault_last_h = np.zeros(batch)
-        self._fault_last_c = np.zeros(batch)
-        self._fault_has_last = np.zeros(batch, dtype=bool)
-        self._fault_since = np.zeros(batch, dtype=np.int64)
 
     # ------------------------------------------------------------- validation
     def _validate_batch(self, first: HVACEnvironment) -> None:
@@ -253,10 +185,12 @@ class BatchedHVACEnvironment:
     # -------------------------------------------------------------- properties
     @property
     def batch_size(self) -> int:
+        """Number of episodes ``B`` stepped together."""
         return len(self.environments)
 
     @property
     def step_index(self) -> int:
+        """Index of the next control step, shared by every episode."""
         return self._step_index
 
     @property
@@ -266,14 +200,15 @@ class BatchedHVACEnvironment:
 
     @property
     def controlled_zone_temperatures(self) -> np.ndarray:
+        """Current true ``(B,)`` temperatures of the controlled zone (a copy)."""
         return self._temperatures[:, self._controlled_index].copy()
 
     def observations(self) -> ObservationBatch:
         """Stacked ``(B, 6)`` Table-1 observation vectors, columnar."""
         disturbance = self._disturbances[:, self._step_index % self.num_steps, :]
         zone = self._temperatures[:, self._controlled_index]
-        if self._dist_any and self._dist_sensor_any:
-            zone = self._report_zone_temperatures(zone, self._step_index)
+        if self._faults is not None:
+            zone = self._faults.report(zone, self._step_index)
         return ObservationBatch(np.column_stack([zone, disturbance]))
 
     # ------------------------------------------------------------------ reset
@@ -283,8 +218,8 @@ class BatchedHVACEnvironment:
         self._temperatures = np.repeat(
             self._initial_temperature[:, np.newaxis], self._temperatures.shape[1], axis=1
         )
-        if self._dist_any:
-            self._reset_fault_state()
+        if self._faults is not None:
+            self._faults.reset()
         info = InfoBatch(
             step=0,
             hour_of_day=self._hours[:, 0].copy(),
@@ -306,11 +241,9 @@ class BatchedHVACEnvironment:
         if step >= self.num_steps:
             raise RuntimeError("Episodes are over; call reset() before stepping again")
         heating, cooling = self._resolve_actions(actions)
-        stuck_flags = dr_flags = None
-        if self._dist_any and self._dist_action_any:
-            heating, cooling, stuck_flags, dr_flags = self._apply_action_faults(
-                heating, cooling, step
-            )
+        fault_columns: Dict[str, np.ndarray] = {}
+        if self._faults is not None:
+            heating, cooling, fault_columns = self._faults.apply(heating, cooling, step)
 
         disturbance = self._disturbances[:, step, :]
         occupied = self._occupied[:, step]
@@ -359,12 +292,8 @@ class BatchedHVACEnvironment:
         truncated = self._step_index >= self.num_steps
         obs_step = self._step_index if not truncated else self._step_index - 1
         zone_observed = zone_temperature
-        if self._dist_any and self._dist_sensor_any:
-            # Emission index may equal num_steps on the final step; sensor
-            # schedules cover T + 1 emissions, exactly as in the scalar env.
-            zone_observed = self._report_zone_temperatures(
-                zone_temperature, self._step_index
-            )
+        if self._faults is not None:
+            zone_observed = self._faults.report(zone_temperature, self._step_index)
         observation = ObservationBatch(
             np.column_stack([zone_observed, self._disturbances[:, obs_step, :]])
         )
@@ -373,18 +302,6 @@ class BatchedHVACEnvironment:
         comfort_ok = (self._comfort_lower <= zone_temperature) & (
             zone_temperature <= self._comfort_upper
         )
-        fault_columns: Dict[str, np.ndarray] = {}
-        if self._dist_any:
-            zeros = np.zeros(batch)
-            fault_columns = {
-                "sensor_dropped": self._dist_dropped[:, step].astype(float),
-                "actuator_stuck": (
-                    stuck_flags.astype(float) if stuck_flags is not None else zeros
-                ),
-                "demand_response": (
-                    dr_flags.astype(float) if dr_flags is not None else zeros
-                ),
-            }
         info = InfoBatch(
             step=step,
             hour_of_day=self._hours[:, step].copy(),
@@ -409,76 +326,6 @@ class BatchedHVACEnvironment:
         )
 
     # ---------------------------------------------------------------- helpers
-    def _report_zone_temperatures(self, zone: np.ndarray, index: int) -> np.ndarray:
-        """Vectorised sensor model, mirroring the scalar report path.
-
-        Rows without a sensor fault schedule pass through ``np.where``'s false
-        branch untouched, so their reported values are bit-identical to the
-        clean batch.
-        """
-        reported = np.where(
-            self._dist_noise_rows, zone + self._dist_noise[:, index], zone
-        )
-        drop = self._dist_dropped[:, index] & self._has_reported
-        reported = np.where(drop, self._reported_zone, reported)
-        self._reported_zone = reported
-        self._has_reported[:] = True
-        return reported
-
-    def _apply_action_faults(
-        self, heating: np.ndarray, cooling: np.ndarray, step: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised mirror of the scalar ``_apply_action_faults``.
-
-        Order matters and matches the scalar path: demand-response setback
-        first, then the cycling limit, then stuck dampers — both of the latter
-        freeze the previously-applied pair.
-        """
-        dr = self._dist_dr[:, step]
-        if dr.any():
-            h_dr, c_dr = self._clip_batch(
-                heating - self._dist_setback, cooling + self._dist_setback
-            )
-            heating = np.where(dr, h_dr, heating)
-            cooling = np.where(dr, c_dr, cooling)
-        has_last = self._fault_has_last
-        changed_pair = (heating != self._fault_last_h) | (cooling != self._fault_last_c)
-        hold = (
-            has_last
-            & (self._dist_cycle_limit > 0)
-            & (self._fault_since < self._dist_cycle_limit)
-            & changed_pair
-        )
-        stuck_now = self._dist_stuck[:, step] & has_last
-        freeze = hold | stuck_now
-        heating = np.where(freeze, self._fault_last_h, heating)
-        cooling = np.where(freeze, self._fault_last_c, cooling)
-        changed = (
-            (~has_last)
-            | (heating != self._fault_last_h)
-            | (cooling != self._fault_last_c)
-        )
-        self._fault_since = np.where(changed, 0, self._fault_since + 1)
-        self._fault_last_h = heating.astype(float)
-        self._fault_last_c = cooling.astype(float)
-        self._fault_has_last = np.ones(self.batch_size, dtype=bool)
-        return heating, cooling, freeze, dr
-
-    def _clip_batch(
-        self, heating: np.ndarray, cooling: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`~repro.utils.config.ActionSpaceConfig.clip`."""
-        h = np.round(heating)
-        c = np.round(cooling)
-        h = np.minimum(np.maximum(h, self._act_hmin), self._act_hmax)
-        c = np.minimum(np.maximum(c, self._act_cmin), self._act_cmax)
-        bad = h > c
-        c_fix = np.minimum(np.maximum(h, self._act_cmin), self._act_cmax)
-        h_fix = np.minimum(h, c_fix)
-        c = np.where(bad, c_fix, c)
-        h = np.where(bad, h_fix, h)
-        return h, c
-
     def _resolve_actions(
         self, actions: Union[ActionBatch, np.ndarray, Sequence]
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -25,16 +25,20 @@ class NormalizedObservationWrapper:
         self._span[self._span == 0] = 1.0
 
     def normalize(self, observation: np.ndarray) -> np.ndarray:
+        """Map a raw observation onto [0, 1] per channel (no clipping)."""
         return (np.asarray(observation, dtype=float) - self._low) / self._span
 
     def denormalize(self, normalized: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`normalize`: back to physical units."""
         return np.asarray(normalized, dtype=float) * self._span + self._low
 
     def reset(self, seed=None) -> Tuple[np.ndarray, Dict[str, float]]:
+        """Reset the wrapped environment; the observation comes back normalised."""
         observation, info = self.environment.reset(seed)
         return self.normalize(observation), info
 
     def step(self, action: Union[int, Tuple[float, float]]) -> EnvironmentStep:
+        """Step the wrapped environment; only the observation is normalised."""
         result = self.environment.step(action)
         return EnvironmentStep(
             observation=self.normalize(result.observation),
@@ -63,22 +67,27 @@ class EpisodeRecord:
 
     @property
     def total_reward(self) -> float:
+        """Sum of the recorded step rewards."""
         return float(sum(self.rewards))
 
     @property
     def total_energy_kwh(self) -> float:
+        """Sum of the recorded HVAC electric energy (kWh)."""
         return float(sum(info.get("hvac_electric_energy_kwh", 0.0) for info in self.infos))
 
     @property
     def zone_temperatures(self) -> np.ndarray:
+        """True controlled-zone temperature after each step (not the sensor report)."""
         return np.array([info["zone_temperature"] for info in self.infos])
 
     @property
     def heating_setpoints(self) -> np.ndarray:
+        """Applied heating setpoint of each step (after any action faults)."""
         return np.array([info["heating_setpoint"] for info in self.infos])
 
     @property
     def cooling_setpoints(self) -> np.ndarray:
+        """Applied cooling setpoint of each step (after any action faults)."""
         return np.array([info["cooling_setpoint"] for info in self.infos])
 
 
@@ -90,12 +99,19 @@ class EpisodeRecorder:
         self.record = EpisodeRecord()
 
     def reset(self, seed=None) -> Tuple[np.ndarray, Dict[str, float]]:
+        """Reset the wrapped environment and start a fresh record with its observation."""
         observation, info = self.environment.reset(seed)
         self.record = EpisodeRecord()
         self.record.observations.append(observation)
         return observation, info
 
     def step(self, action: Union[int, Tuple[float, float]]) -> EnvironmentStep:
+        """Step the wrapped environment and record the step.
+
+        The recorded action is the commanded one as a table index (a setpoint
+        pair is clipped onto the table first); the info carries the applied
+        pair.
+        """
         result = self.environment.step(action)
         action_index = (
             int(action)

@@ -47,38 +47,6 @@ from repro.fleet.telemetry import FleetTelemetry
 from repro.serving import ShardedServingError
 
 
-class _ActionIndexer:
-    """Vectorised (heating, cooling) → environment-action-index lookup.
-
-    Served responses carry setpoint pairs from the *policy's* action table;
-    the environment wants indices into *its* setpoint table.  Both tables are
-    tiny, so each pair is encoded into one integer code and resolved with a
-    binary search over the sorted code table — one ``searchsorted`` per
-    group per tick, no python per-row work.
-    """
-
-    #: Code base; setpoints are small positive integers, far below this.
-    _BASE = 1024
-
-    def __init__(self, action_space):
-        pairs = np.asarray(action_space.pairs, dtype=np.int64)
-        codes = pairs[:, 0] * self._BASE + pairs[:, 1]
-        self._order = np.argsort(codes)
-        self._sorted = codes[self._order]
-
-    def __call__(self, setpoint_pairs: np.ndarray) -> np.ndarray:
-        pairs = np.asarray(setpoint_pairs, dtype=np.int64)
-        codes = pairs[:, 0] * self._BASE + pairs[:, 1]
-        positions = np.clip(
-            np.searchsorted(self._sorted, codes), 0, len(self._sorted) - 1
-        )
-        if not np.all(self._sorted[positions] == codes):
-            raise ValueError(
-                "Served setpoint pair outside the environment's action table"
-            )
-        return self._order[positions]
-
-
 class FleetGroup:
     """One scenario's slice of the fleet: a batched env + ids + incumbent."""
 
@@ -97,7 +65,8 @@ class FleetGroup:
         self.env = env
         self.building_ids = np.asarray(building_ids)
         self.policy_id = str(policy_id)
-        self.indexer = _ActionIndexer(env.environments[0].action_space)
+        #: The environments' shared action table; maps served pairs to indices.
+        self.action_space = env.environments[0].action_space
         #: Current (pre-step) observations; maintained by the loop.
         self.observations: Optional[ObservationBatch] = None
 
@@ -249,7 +218,13 @@ class FleetLoop:
         for index, group in enumerate(self.groups):
             lo, hi = self._slices[index]
             if served_pairs is not None:
-                actions = ActionBatch(group.indexer(served_pairs[lo:hi]))
+                # Served pairs come from the policy's table; a pair outside the
+                # environment's table raises ValueError.
+                actions = ActionBatch(
+                    group.action_space.indices(
+                        served_pairs[lo:hi, 0], served_pairs[lo:hi, 1]
+                    )
+                )
             elif self._fallback_banks is not None:
                 actions = HysteresisAgent.select_actions_batch(
                     self._fallback_banks[index],

@@ -12,9 +12,16 @@ The contract under test, in order of importance:
    plant, surprises scale people but not the schedule);
 4. the robustness table of the classical controllers is pinned to committed
    golden figures, so controller or environment drift fails loudly.
+
+Both environments apply tiers 3-4 through one ``FaultLayer``, so the
+scalar-vs-batched suites compare the layer with itself.  The reference below
+is the scalar environment's fault code from before the layer, kept verbatim;
+``TestFaultLayerReference`` pins the layer against it at B=1 and in a mixed
+batch.
 """
 
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -25,14 +32,17 @@ from repro.env import (
     DISTURBANCES,
     BatchedHVACEnvironment,
     DisturbanceSpec,
+    SetpointSpace,
     available_disturbances,
     get_disturbance,
     make_environment,
 )
+from repro.env.disturbances import FaultLayer
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.scenarios import ScenarioSpec, scenario_grid
 from repro.fleet import FleetGroup, FleetLoop
 from repro.serving import ShardedPolicyServer
+from repro.utils.config import ActionSpaceConfig, ExperimentConfig
 
 DAYS = 1
 
@@ -82,6 +92,97 @@ def rollout_batched(envs, stride=7):
         rewards.append(result.rewards.copy())
         infos.append(result.info)
     return np.array(observations), np.array(rewards), infos
+
+
+# ----------------------------------------------------------------- reference
+class ReferenceFaults:
+    """One episode's tiers 3-4 as the scalar environment applied them before
+    ``FaultLayer``: the two methods are verbatim, ``emit``/``step`` repeat
+    their call sites in ``observation()``/``step()``."""
+
+    def __init__(self, schedule, config: ExperimentConfig):
+        self._disturbance = schedule
+        self.config = config
+        self._reported_zone = None
+        self._fault_last = None
+        self._fault_since_change = 0
+
+    def emit(self, zone: float, emission_index: int) -> float:
+        schedule = self._disturbance
+        if schedule.zone_noise is not None or schedule.sensor_dropped is not None:
+            zone = self._report_zone_temperature(zone, emission_index)
+        return zone
+
+    def step(self, heating: int, cooling: int, step: int):
+        schedule = self._disturbance
+        stuck_flag = dr_flag = False
+        if schedule.action_active:
+            heating, cooling, stuck_flag, dr_flag = self._apply_action_faults(
+                heating, cooling, step
+            )
+        dropped = float(
+            bool(schedule.sensor_dropped is not None and schedule.sensor_dropped[step])
+        )
+        return heating, cooling, (dropped, float(stuck_flag), float(dr_flag))
+
+    def _report_zone_temperature(self, true_value: float, emission_index: int) -> float:
+        """The sensor's report for one observation emission (noise + dropout).
+
+        ``emission_index`` counts observation emissions (0 at reset, ``t + 1``
+        after step ``t``); faults are precomputed per emission, so repeated
+        calls at the same index are idempotent.
+        """
+        schedule = self._disturbance
+        reported = true_value
+        if schedule.zone_noise is not None:
+            reported = true_value + schedule.zone_noise[emission_index]
+        if (
+            schedule.sensor_dropped is not None
+            and schedule.sensor_dropped[emission_index]
+            and self._reported_zone is not None
+        ):
+            reported = self._reported_zone
+        self._reported_zone = reported
+        return float(reported)
+
+    def _apply_action_faults(
+        self, heating: int, cooling: int, step: int
+    ) -> Tuple[int, int, bool, bool]:
+        """Rewrite the commanded setpoints through the action-level faults.
+
+        Order (mirrored exactly by the batched env): demand-response setback,
+        then heat-pump minimum-cycle hold, then stuck damper.  Returns the
+        applied pair plus (actuator-stuck, demand-response) telemetry flags;
+        ``actuator_stuck`` covers both cycling holds and stuck dampers —
+        every case where the plant did not follow the commanded pair.
+        """
+        schedule = self._disturbance
+        dr_flag = bool(schedule.dr_active is not None and schedule.dr_active[step])
+        if dr_flag:
+            setback = schedule.spec.demand_response_setback_c
+            heating, cooling = self.config.actions.clip(
+                heating - setback, cooling + setback
+            )
+        stuck_flag = False
+        if self._fault_last is not None:
+            limit = schedule.spec.cycling_limit_steps
+            if (
+                limit > 0
+                and self._fault_since_change < limit
+                and (heating, cooling) != self._fault_last
+            ):
+                heating, cooling = self._fault_last
+                stuck_flag = True
+            if schedule.stuck is not None and schedule.stuck[step]:
+                heating, cooling = self._fault_last
+                stuck_flag = True
+        pair = (heating, cooling)
+        if self._fault_last is None or pair != self._fault_last:
+            self._fault_since_change = 0
+        else:
+            self._fault_since_change += 1
+        self._fault_last = pair
+        return heating, cooling, stuck_flag, dr_flag
 
 
 # ---------------------------------------------------------- clean bit-identity
@@ -343,6 +444,217 @@ class TestFaultBehaviour:
         for key in ("sensor_dropped", "actuator_stuck", "demand_response"):
             assert key in info
             assert info[key].shape == (2,)
+
+
+# -------------------------------------------------- FaultLayer vs reference
+#: DR, a cycling limit and stuck dampers in one episode, plus both sensor
+#: faults; no preset combines the three action faults, so only this profile
+#: pins their order.
+COMBINED = DisturbanceSpec(
+    name="dr_cycle_stuck",
+    sensor_noise_std=0.2,
+    sensor_dropout_rate=0.1,
+    stuck_damper_rate=0.04,
+    stuck_damper_steps=3,
+    cycling_limit_steps=3,
+    demand_response_rate=0.04,
+    demand_response_steps=6,
+    demand_response_setback_c=2.0,
+)
+REFERENCE_STEPS = 672
+FAULT_COLUMNS = ("sensor_dropped", "actuator_stuck", "demand_response")
+
+
+def drive_layer_and_reference(specs, seeds, config=None, command_dtype=float):
+    """Step a ``FaultLayer`` over ``specs`` and one reference per episode.
+
+    Commands and true zone temperatures are seeded random columns; the
+    commands reach the layer as ``command_dtype`` (``int`` as the scalar env
+    passes them, ``float`` as the batched env does).  Returns per-step
+    (applied heating, cooling, three flags, report) rows for both.
+    """
+    config = config or ExperimentConfig()
+    space = SetpointSpace(config.actions)
+    schedules = [spec.realise(REFERENCE_STEPS, seed) for spec, seed in zip(specs, seeds)]
+    layer = FaultLayer.build(schedules, space)
+    references = [None if s is None else ReferenceFaults(s, config) for s in schedules]
+    rng = np.random.default_rng(sum(seeds))
+    pairs = np.array(space.pairs)
+    commands = pairs[rng.integers(0, len(pairs), size=(REFERENCE_STEPS, len(specs)))]
+    zones = rng.uniform(15.0, 27.0, size=(REFERENCE_STEPS + 1, len(specs)))
+
+    layer_rows, reference_rows = [], []
+    layer.reset()
+    layer_reports = layer.report(zones[0], 0)
+    reference_reports = [
+        zones[0, i] if ref is None else ref.emit(float(zones[0, i]), 0)
+        for i, ref in enumerate(references)
+    ]
+    for t in range(REFERENCE_STEPS):
+        heating, cooling, columns = layer.apply(
+            commands[t, :, 0].astype(command_dtype),
+            commands[t, :, 1].astype(command_dtype),
+            t,
+        )
+        next_reports = layer.report(zones[t + 1], t + 1)
+        for i, ref in enumerate(references):
+            layer_rows.append(
+                (heating[i], cooling[i], *(columns[k][i] for k in FAULT_COLUMNS),
+                 layer_reports[i])
+            )
+            if ref is None:
+                reference_rows.append(
+                    (commands[t, i, 0], commands[t, i, 1], 0.0, 0.0, 0.0,
+                     reference_reports[i])
+                )
+                reference_reports[i] = zones[t + 1, i]
+                continue
+            h, c, flags = ref.step(int(commands[t, i, 0]), int(commands[t, i, 1]), t)
+            reference_rows.append((h, c, *flags, reference_reports[i]))
+            reference_reports[i] = ref.emit(float(zones[t + 1, i]), t + 1)
+        layer_reports = next_reports
+    return layer_rows, reference_rows, schedules
+
+
+def assert_rows_identical(layer_rows, reference_rows):
+    assert len(layer_rows) == len(reference_rows)
+    for got, want in zip(layer_rows, reference_rows):
+        assert got == want
+        assert float(got[-1]).hex() == float(want[-1]).hex()  # bit for bit
+
+
+class TestFaultLayerReference:
+    """The layer against the replaced scalar code, element for element."""
+
+    @pytest.mark.parametrize("preset", sorted(DISTURBANCES))
+    def test_batch_of_one_matches_the_scalar_reference(self, preset):
+        spec = DISTURBANCES[preset]
+        if not spec.enabled:
+            assert FaultLayer.build([spec.realise(REFERENCE_STEPS, 0)], SetpointSpace()) is None
+            return
+        layer_rows, reference_rows, _ = drive_layer_and_reference(
+            [spec], [5], command_dtype=int
+        )
+        assert_rows_identical(layer_rows, reference_rows)
+
+    def test_mixed_batch_of_every_preset_matches_the_reference(self):
+        specs = [DISTURBANCES[name] for name in sorted(DISTURBANCES)] + [COMBINED]
+        seeds = list(range(11, 11 + len(specs)))
+        layer_rows, reference_rows, schedules = drive_layer_and_reference(specs, seeds)
+        assert any(s is None for s in schedules)  # the clean row rides along
+        assert_rows_identical(layer_rows, reference_rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_combined_action_faults_keep_their_order(self, seed):
+        layer_rows, reference_rows, (schedule,) = drive_layer_and_reference(
+            [COMBINED], [seed]
+        )
+        assert_rows_identical(layer_rows, reference_rows)
+        # The tiers really met: DR steps that were also held (by the cycling
+        # limit or a stuck damper), and holds outside stuck windows.
+        dr_and_held = [r for r in layer_rows if r[3] == 1.0 and r[4] == 1.0]
+        cycling_holds = [
+            t for t, r in enumerate(layer_rows) if r[3] == 1.0 and not schedule.stuck[t]
+        ]
+        assert dr_and_held and cycling_holds
+
+    def test_non_default_action_table(self):
+        config = ExperimentConfig(
+            actions=ActionSpaceConfig(
+                heating_min=17, heating_max=26, cooling_min=19, cooling_max=24
+            )
+        )
+        layer_rows, reference_rows, _ = drive_layer_and_reference(
+            [COMBINED, DISTURBANCES["demand_response"]], [3, 4], config=config
+        )
+        assert_rows_identical(layer_rows, reference_rows)
+
+    def test_schedules_must_share_the_episode_length(self):
+        short = DISTURBANCES["rough_day"].realise(96, seed=0)
+        long = DISTURBANCES["rough_day"].realise(192, seed=0)
+        with pytest.raises(ValueError, match="episode length"):
+            FaultLayer([short, long], SetpointSpace())
+        with pytest.raises(ValueError, match="faulted episode"):
+            FaultLayer([None, None], SetpointSpace())
+
+
+# ------------------------------------------------------------ setpoint table
+def action_configs():
+    """Action tables around the default, degenerate and inverted ones included."""
+    configs = []
+    for heating_min in (14, 15, 18):
+        for heating_span in (0, 1, 4, 8, 14):
+            for cooling_min in (heating_min - 4, heating_min, heating_min + 3, 25):
+                for cooling_span in (0, 2, 9):
+                    heating_max = heating_min + heating_span
+                    cooling_max = cooling_min + cooling_span
+                    if cooling_max < heating_min:
+                        continue  # empty table: SetpointSpace rejects n = 0
+                    configs.append(
+                        ActionSpaceConfig(heating_min, heating_max, cooling_min, cooling_max)
+                    )
+    return configs
+
+
+def setpoint_grid(config):
+    """Every (heating, cooling) on a half-degree grid 2 °C past the bounds."""
+    low = min(config.heating_min, config.cooling_min) - 2.0
+    high = max(config.heating_max, config.cooling_max) + 2.0
+    values = np.arange(low, high + 0.5, 0.5)  # .5 ties included
+    heating, cooling = np.meshgrid(values, values, indexing="ij")
+    return heating.ravel(), cooling.ravel()
+
+
+class TestSetpointSpace:
+    def test_grid_covers_inverted_and_degenerate_tables(self):
+        configs = action_configs()
+        assert len(configs) == 150
+        assert any(c.cooling_max < c.heating_max for c in configs)
+        assert any(c.cooling_min < c.heating_min for c in configs)
+        assert any(len(c.joint_actions()) == 1 for c in configs)
+
+    def test_clip_lands_in_the_table_and_clip_arrays_matches_it(self):
+        for config in action_configs():
+            space = SetpointSpace(config)
+            table = {pair: i for i, pair in enumerate(space.pairs)}
+            heating, cooling = setpoint_grid(config)
+            want = [config.clip(h, c) for h, c in zip(heating, cooling)]
+            assert all(pair in table for pair in want), config
+            got_h, got_c = space.clip_arrays(heating, cooling)
+            assert np.array_equal(got_h, [h for h, _ in want]), config
+            assert np.array_equal(got_c, [c for _, c in want]), config
+            assert np.array_equal(
+                space.indices(got_h, got_c), [table[pair] for pair in want]
+            ), config
+
+    def test_clip_arrays_rounds_half_to_even_like_round(self):
+        space = SetpointSpace()
+        ties = np.array([16.5, 17.5, 18.5, 19.5, 20.5, 21.5, 22.5])
+        heating, cooling = space.clip_arrays(ties, ties + 5.0)
+        assert heating.tolist() == [round(v) for v in ties]
+        assert cooling.tolist() == [round(v + 5.0) for v in ties]
+
+    def test_indices_round_trips_every_pair(self):
+        for config in action_configs():
+            space = SetpointSpace(config)
+            table = np.array(space.pairs)
+            expected = np.arange(space.n)
+            for dtype in (np.int64, float):
+                found = space.indices(table[:, 0].astype(dtype), table[:, 1].astype(dtype))
+                assert found.dtype == np.int64
+                assert np.array_equal(found, expected)
+            assert [space.to_pair(i) for i in found] == space.pairs
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(24, 22), (14, 25), (15, 31), (24, 30), (21.5, 25.0), (21.0, 25.25)],
+    )
+    def test_indices_rejects_a_pair_outside_the_table(self, pair):
+        space = SetpointSpace()  # heating 15..23, cooling 21..30
+        heating = np.array([21.0, pair[0], 15.0])
+        cooling = np.array([25.0, pair[1], 30.0])
+        with pytest.raises(ValueError, match="outside the action table"):
+            space.indices(heating, cooling)
 
 
 # ------------------------------------------------------------------ scenarios

@@ -8,6 +8,8 @@ ticks) and auto-rolled-back when deliberately corrupted (drift alarm).  The
 unit classes pin each subsystem's contract in isolation.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -411,6 +413,15 @@ class _FailingServer:
         raise ShardedServingError("injected")
 
 
+class _OffTableServer:
+    """Serves (24, 22) to every row: heating above cooling, in no env table."""
+
+    def serve_columnar(self, batch):
+        rows = len(batch.policy_ids)
+        pairs = np.tile(np.array([24, 22], dtype=np.int64), (rows, 1))
+        return SimpleNamespace(setpoint_pairs=lambda: pairs)
+
+
 class TestFleetLoopDegradedModes:
     def make_group(self):
         return FleetGroup.from_scenario(
@@ -430,6 +441,13 @@ class TestFleetLoopDegradedModes:
         loop.run(2)
         assert loop.telemetry.lost_ticks == 2
         assert loop.telemetry.fallback_ticks == 0
+
+    def test_served_pair_outside_the_env_table_is_rejected(self):
+        group = self.make_group()
+        loop = FleetLoop(_OffTableServer(), [group])
+        with pytest.raises(ValueError, match="outside the action table"):
+            loop.tick()
+        assert group.env.step_index == 0  # no building stepped on a bad pair
 
     def test_group_validation(self):
         with pytest.raises(ValueError):
