@@ -22,7 +22,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.buildings.zones import ZoneParameters
+from repro.buildings.zones import ZoneParameters, zone_operand
 
 
 @dataclass(frozen=True)
@@ -163,34 +163,47 @@ class BatchedHVACPlant:
         cooling_setpoint_c: np.ndarray,
         occupied: np.ndarray,
     ) -> BatchedHVACResult:
-        """Evaluate every unit: ``(B, n_zones)`` temperatures, ``(B,)`` setpoints."""
-        temps = np.asarray(zone_temperatures, dtype=float)
-        heating_sp = np.asarray(heating_setpoint_c, dtype=float).reshape(-1, 1)
-        cooling_sp = np.asarray(cooling_setpoint_c, dtype=float).reshape(-1, 1)
-        occupied = np.asarray(occupied, dtype=bool).reshape(-1, 1)
+        """Evaluate every unit on ``(B, n_zones)`` zone temperatures.
+
+        The setpoints and the occupied flag are per-building ``(B,)`` columns
+        or already repeated across the zones as ``(B, n_zones)`` (the batched
+        environment passes the latter, built once per control step).  An
+        operand of any other shape raises ``ValueError`` naming it, as does a
+        heating setpoint above its cooling setpoint.  Returns fresh arrays;
+        the element-wise ops all run on same-shape operands.
+        """
+        shape = self.heating_cop.shape
+        temps = np.asarray(zone_temperatures, dtype=np.float64)
+        if temps.shape != shape:
+            raise ValueError(f"zone_temperatures must have shape {shape}, got {temps.shape}")
+        heating_sp = zone_operand("heating_setpoint_c", heating_setpoint_c, shape)
+        cooling_sp = zone_operand("cooling_setpoint_c", cooling_setpoint_c, shape)
+        occupied = zone_operand("occupied", occupied, shape, dtype=bool)
         if np.any(heating_sp > cooling_sp):
             raise ValueError("heating setpoint must not exceed cooling setpoint")
 
-        heating_error = heating_sp - temps
-        cooling_error = temps - cooling_sp
-        heating_mask = heating_error > self.deadband_k
-        cooling_mask = ~heating_mask & (cooling_error > self.deadband_k)
+        # The errors become the capped thermal powers, then the electric terms.
+        heating = np.subtract(heating_sp, temps)
+        cooling = np.subtract(temps, cooling_sp)
+        heating_mask = heating > self.deadband_k
+        cooling_mask = cooling > self.deadband_k
+        cooling_mask &= ~heating_mask
 
-        heating_thermal = np.minimum(self.gain_w_per_k * heating_error, self.max_heating_power_w)
-        cooling_thermal = np.minimum(self.gain_w_per_k * cooling_error, self.max_cooling_power_w)
+        np.multiply(self.gain_w_per_k, heating, out=heating)
+        np.minimum(heating, self.max_heating_power_w, out=heating)
+        np.multiply(self.gain_w_per_k, cooling, out=cooling)
+        np.minimum(cooling, self.max_cooling_power_w, out=cooling)
 
-        thermal = np.where(
-            heating_mask, heating_thermal, np.where(cooling_mask, -cooling_thermal, 0.0)
-        )
-        electric = np.where(
-            heating_mask,
-            heating_thermal / self.heating_cop + self.parasitic_power_w,
-            np.where(
-                cooling_mask,
-                cooling_thermal / self.cooling_cop + self.parasitic_power_w,
-                np.where(occupied, self.parasitic_power_w, 0.0),
-            ),
-        )
+        thermal = np.where(cooling_mask, np.negative(cooling), 0.0)
+        np.copyto(thermal, heating, where=heating_mask)
+
+        np.divide(heating, self.heating_cop, out=heating)
+        np.add(heating, self.parasitic_power_w, out=heating)
+        np.divide(cooling, self.cooling_cop, out=cooling)
+        np.add(cooling, self.parasitic_power_w, out=cooling)
+        electric = np.where(occupied, self.parasitic_power_w, 0.0)
+        np.copyto(electric, cooling, where=cooling_mask)
+        np.copyto(electric, heating, where=heating_mask)
         return BatchedHVACResult(
             thermal_power_w=thermal,
             electric_power_w=electric,

@@ -15,11 +15,22 @@ hours) at a 1-minute sub-step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.buildings.zones import InterZoneCoupling, ZoneParameters, zone_index_map
+from repro.buildings.zones import InterZoneCoupling, ZoneParameters, zone_index_map, zone_operand
+
+# ``np.einsum`` with ``optimize=False`` (its default) only forwards to the C
+# entry point; calling that directly runs the same kernel, in the same
+# CPU-dependent lane order, without the Python-level dispatcher.
+try:  # numpy >= 2
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # pragma: no cover - numpy 1.x, or a numpy without it
+    try:
+        from numpy.core.multiarray import c_einsum
+    except ImportError:
+        c_einsum = np.einsum
 
 #: Sensible heat gain per occupant (W), a standard office value.
 OCCUPANT_GAIN_W = 90.0
@@ -98,6 +109,8 @@ class ThermalNetwork:
             self._coupling_matrix[b, a] += coupling.ua_w_per_k
         # Row sums are constant — precompute instead of re-summing every sub-step.
         self._coupling_row_sums = self._coupling_matrix.sum(axis=1)
+        # step_batch's per-zone constants as (B, n_zones) rows, for the last B.
+        self._batch_constants: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
     def zone_names(self) -> List[str]:
@@ -165,7 +178,7 @@ class ThermalNetwork:
         dt = self.substep_seconds
         while remaining > 1e-9:
             h = min(dt, remaining)
-            np.einsum("ij,j->i", self._coupling_matrix, temps, out=neighbours)
+            c_einsum("ij,j->i", self._coupling_matrix, temps, out=neighbours)
             values = [
                 t + h * (((ua * (outdoor - t) + (neighbour - row_sum * t)) + gain) / c)
                 for t, neighbour, ua, row_sum, gain, c in zip(
@@ -191,42 +204,71 @@ class ThermalNetwork:
         temperatures:
             ``(B, n_zones)`` current zone temperatures, one row per building.
         outdoor_temperature_c, wind_speed_ms:
-            ``(B,)`` per-building boundary conditions.
+            Per-building boundary conditions, as ``(B,)`` columns or already
+            repeated across the zones as ``(B, n_zones)`` (the batched
+            environment passes the latter, built once per control step).
         gains_w:
             ``(B, n_zones)`` total heat input per zone (W, averaged over the step).
         duration_seconds:
             Common integration length for every row.
 
-        Returns the ``(B, n_zones)`` temperatures after the step.  Every row
-        evolves exactly as a scalar :meth:`step` would evolve it: the Euler
-        sub-step loop runs once for the whole batch, and all per-row arithmetic
-        is element-wise (or sums over the zone axis only), so results are
-        independent of the batch size.
+        Returns fresh ``(B, n_zones)`` temperatures; the inputs are not
+        modified, and an operand of any other shape raises ``ValueError``
+        naming it.  Every row evolves exactly as a scalar :meth:`step` would
+        evolve it: the Euler loop runs once for the whole batch, each term is
+        element-wise on same-shape C-contiguous operands (``out=`` into scratch
+        reused across sub-steps), and the neighbour sum is the einsum
+        :meth:`step` uses, so results are independent of the batch size.
         """
         if duration_seconds <= 0:
             raise ValueError("duration_seconds must be positive")
-        temps = np.array(temperatures, dtype=float)
+        temps = np.array(temperatures, dtype=np.float64, order="C")
         if temps.ndim != 2 or temps.shape[1] != len(self.zones):
             raise ValueError(f"temperatures must have shape (B, {len(self.zones)})")
-        outdoor = np.asarray(outdoor_temperature_c, dtype=float).reshape(-1, 1)
-        wind = np.asarray(wind_speed_ms, dtype=float).reshape(-1, 1)
-        gains = np.asarray(gains_w, dtype=float)
+        shape = temps.shape
+        outdoor = zone_operand("outdoor_temperature_c", outdoor_temperature_c, shape)
+        wind = zone_operand("wind_speed_ms", wind_speed_ms, shape)
+        gains = np.asarray(gains_w, dtype=np.float64)
+        if gains.shape != shape:
+            raise ValueError(f"gains_w must have shape {shape}, got {gains.shape}")
+        envelope_ua, infiltration_per_wind, row_sums, capacitance = self._constants_for(shape[0])
 
-        effective_ua = self._envelope_ua + self._infiltration_per_wind * np.maximum(wind, 0.0)
+        effective_ua = np.maximum(wind, 0.0)
+        np.multiply(infiltration_per_wind, effective_ua, out=effective_ua)
+        np.add(envelope_ua, effective_ua, out=effective_ua)
 
+        flow = np.empty(shape, dtype=np.float64)
+        neighbours = np.empty(shape, dtype=np.float64)
+        coupled = np.empty(shape, dtype=np.float64)
         remaining = float(duration_seconds)
         dt = self.substep_seconds
         while remaining > 1e-9:
             h = min(dt, remaining)
-            envelope_flow = effective_ua * (outdoor - temps)
-            inter_zone_flow = (
-                np.einsum("ij,bj->bi", self._coupling_matrix, temps)
-                - self._coupling_row_sums * temps
-            )
-            d_temps = (envelope_flow + inter_zone_flow + gains) / self._capacitance
-            temps = temps + h * d_temps
+            np.subtract(outdoor, temps, out=flow)
+            np.multiply(effective_ua, flow, out=flow)
+            c_einsum("ij,bj->bi", self._coupling_matrix, temps, out=neighbours)
+            np.multiply(row_sums, temps, out=coupled)
+            np.subtract(neighbours, coupled, out=coupled)
+            np.add(flow, coupled, out=flow)
+            np.add(flow, gains, out=flow)
+            np.divide(flow, capacitance, out=flow)
+            np.multiply(h, flow, out=flow)
+            np.add(temps, flow, out=temps)
             remaining -= h
         return temps
+
+    def _constants_for(self, batch: int) -> Tuple[np.ndarray, ...]:
+        """Envelope UA, infiltration per wind, row sums and capacitance as ``(batch, n_zones)``."""
+        constants = self._batch_constants
+        if constants is None or len(constants[0]) != batch:
+            rows = (
+                self._envelope_ua,
+                self._infiltration_per_wind,
+                self._coupling_row_sums,
+                self._capacitance,
+            )
+            constants = self._batch_constants = tuple(np.tile(row, (batch, 1)) for row in rows)
+        return constants
 
     def steady_state_temperature(
         self, outdoor_temperature_c: float, wind_speed_ms: float, gains: Dict[str, ZoneGains]

@@ -10,7 +10,9 @@ to its neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -178,3 +180,26 @@ def zone_index_map(zones: List[ZoneParameters]) -> Dict[str, int]:
             raise ValueError(f"Duplicate zone name {zone.name!r}")
         mapping[zone.name] = i
     return mapping
+
+
+def zone_operand(
+    name: str, value: Any, shape: Tuple[int, int], dtype: Any = np.float64
+) -> np.ndarray:
+    """``value`` as a C-contiguous ``(B, n_zones)`` array of ``shape``.
+
+    A ``(B,)`` per-building column is repeated across the zones; a
+    ``(B, n_zones)`` array passes through, copied only to change its dtype or
+    layout.  The batched plant kernels take their per-building operands through
+    here so that every element-wise op runs on same-shape operands (numpy steps
+    a broadcast ``(B, 1)`` operand in inner loops of ``n_zones`` elements).
+    Any other shape raises ``ValueError`` naming ``name``: a ``(n_zones,)`` row
+    or a length-1 column would otherwise broadcast across every building.
+    """
+    array = np.asarray(value, dtype=dtype)
+    if array.shape == shape:
+        return np.ascontiguousarray(array)
+    if array.shape == shape[:1]:
+        return np.repeat(array, shape[1]).reshape(shape)
+    raise ValueError(
+        f"{name} must have shape ({shape[0]},) or ({shape[0]}, {shape[1]}), got {array.shape}"
+    )

@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.buildings.hvac import BatchedHVACPlant
 from repro.buildings.thermal import OCCUPANT_GAIN_W
+from repro.buildings.zones import zone_operand
 from repro.data import ActionBatch, InfoBatch, ObservationBatch
 from repro.env.disturbances import FaultLayer
 from repro.env.hvac_env import HVACEnvironment
@@ -257,31 +258,41 @@ class BatchedHVACEnvironment:
         internal_gain = (OCCUPANT_GAIN_W * occupants[:, np.newaxis]) * self._area_share + np.where(
             occupied[:, np.newaxis], self._equipment_gain, 0.1 * self._equipment_gain
         )
-
-        batch = self.batch_size
-        electric_j = np.zeros(batch)
-        thermal_j = np.zeros(batch)
-        heating_j = np.zeros(batch)
-        cooling_j = np.zeros(batch)
+        # The per-building columns, repeated across the zones once per control
+        # step, so every kernel op of the sub-steps runs on same-shape operands.
         temps = self._temperatures
+        shape = temps.shape
+        heating_zones = zone_operand("heating", heating, shape)
+        cooling_zones = zone_operand("cooling", cooling, shape)
+        occupied_zones = zone_operand("occupied", occupied, shape, dtype=bool)
+        outdoor_zones = zone_operand("outdoor", outdoor, shape)
+        wind_zones = zone_operand("wind", wind, shape)
 
+        # Per sub-step, each zone's electric, heating and cooling energy (J)
+        # lands in one block; the meters add it zone by zone, which matches the
+        # scalar building's summation order bit for bit.
+        meters = np.zeros((3, shape[0]), dtype=np.float64)
+        terms = np.empty((3,) + shape, dtype=np.float64)
+        zone_thermal = np.empty(shape, dtype=np.float64)
+        gains = np.empty(shape, dtype=np.float64)
         remaining = self.step_duration_seconds
         while remaining > 1e-9:
             interval = min(self.hvac_substep_seconds, remaining)
-            hvac = self.plant.evaluate(temps, heating, cooling, occupied)
-            gains = hvac.thermal_power_w + solar_gain + internal_gain
-            thermal_abs = np.abs(hvac.thermal_power_w)
-            # Zone-sequential accumulation matches the scalar building's
-            # summation order bit-for-bit (n_zones is tiny).
-            for z in range(temps.shape[1]):
-                electric_j += hvac.electric_power_w[:, z] * interval
-                zone_abs = thermal_abs[:, z] * interval
-                thermal_j += zone_abs
-                heating_j += np.where(hvac.heating_mask[:, z], zone_abs, 0.0)
-                cooling_j += np.where(hvac.cooling_mask[:, z], zone_abs, 0.0)
-            temps = self.network.step_batch(temps, outdoor, wind, gains, interval)
+            hvac = self.plant.evaluate(temps, heating_zones, cooling_zones, occupied_zones)
+            np.add(hvac.thermal_power_w, solar_gain, out=gains)
+            np.add(gains, internal_gain, out=gains)
+            np.multiply(hvac.electric_power_w, interval, out=terms[0])
+            np.abs(hvac.thermal_power_w, out=zone_thermal)
+            np.multiply(zone_thermal, interval, out=zone_thermal)
+            terms[1:] = 0.0
+            np.copyto(terms[1], zone_thermal, where=hvac.heating_mask)
+            np.copyto(terms[2], zone_thermal, where=hvac.cooling_mask)
+            for z in range(shape[1]):
+                meters += terms[:, :, z]
+            temps = self.network.step_batch(temps, outdoor_zones, wind_zones, gains, interval)
             remaining -= interval
         self._temperatures = temps
+        electric_kwh, heating_kwh, cooling_kwh = meters * (1.0 / 3.6e6)
 
         zone_temperature = temps[:, self._controlled_index]
         rewards, energy_proxy, comfort_violation, w_e = self._compute_rewards(
@@ -298,7 +309,6 @@ class BatchedHVACEnvironment:
             np.column_stack([zone_observed, self._disturbances[:, obs_step, :]])
         )
 
-        joules_to_kwh = 1.0 / 3.6e6
         comfort_ok = (self._comfort_lower <= zone_temperature) & (
             zone_temperature <= self._comfort_upper
         )
@@ -309,9 +319,9 @@ class BatchedHVACEnvironment:
             heating_setpoint=heating.astype(float),
             cooling_setpoint=cooling.astype(float),
             zone_temperature=zone_temperature.copy(),
-            hvac_electric_energy_kwh=electric_j * joules_to_kwh,
-            heating_energy_kwh=heating_j * joules_to_kwh,
-            cooling_energy_kwh=cooling_j * joules_to_kwh,
+            hvac_electric_energy_kwh=electric_kwh,
+            heating_energy_kwh=heating_kwh,
+            cooling_energy_kwh=cooling_kwh,
             energy_proxy=energy_proxy,
             comfort_violation=comfort_violation,
             comfort_violated=(occupied & ~comfort_ok).astype(float),

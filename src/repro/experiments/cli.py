@@ -699,6 +699,8 @@ def _bench_rollout(args: argparse.Namespace) -> Dict:
     without environment or agent construction).  Each per-episode figure
     pools that episode's repeats.
     """
+    import os
+
     from repro.agents.registry import canonical_name
 
     runner = _experiment_runner(args)
@@ -720,6 +722,7 @@ def _bench_rollout(args: argparse.Namespace) -> Dict:
         "batch_size": args.batch_size,
         "steps_per_episode": result.total_steps // max(result.num_episodes, 1),
         "mean_steps_per_second": sum(episode_steps) / sum(episode_wall),
+        "cpu_count": os.cpu_count(),
         # Per-episode timings are redundant for the batched backend (the
         # batch shares one wall clock, so every episode reports the same
         # aggregate throughput).

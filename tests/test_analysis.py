@@ -2,6 +2,7 @@
 baseline diffing, the CLI entry points, and a smoke run on the real tree."""
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -34,6 +35,18 @@ def lint(root: Path, only=(), baseline=None):
 def rules_of(result):
     """The rule ids the run flagged, as a sorted list."""
     return sorted(f.rule for f in result.findings)
+
+
+def child_env() -> dict:
+    """A minimal environment for ``python -m repro.analysis`` subprocesses.
+
+    ``PYTHONDONTWRITEBYTECODE`` passes through when set, so a test run that
+    asked for no bytecode leaves no ``__pycache__`` under ``src/``.
+    """
+    env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 # ----------------------------------------------------------------- REP001
@@ -729,11 +742,10 @@ class TestEngineAndCli:
                     return np.zeros(n)
             """,
         })
-        env = {"PYTHONPATH": str(REPO_ROOT / "src")}
         proc = subprocess.run(
             [sys.executable, "-m", "repro.analysis", "--root", str(tmp_path),
              "--no-baseline", "--format", "json"],
-            capture_output=True, text=True, env={**env, "PATH": "/usr/bin:/bin"},
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["new_finding_count"] == 1
@@ -748,7 +760,7 @@ class TestEngineAndCli:
             """,
         })
         baseline_path = tmp_path / "baseline.json"
-        env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+        env = child_env()
         args = [sys.executable, "-m", "repro.analysis", "--root", str(tmp_path),
                 "--baseline", str(baseline_path)]
         first = subprocess.run(args + ["--write-baseline"], capture_output=True,

@@ -162,7 +162,7 @@ BENCH_SMOKE = {
     "rollout": (
         ["--target", "rollout"],
         {
-            "agent", "backend", "batch_size", "benchmark", "days", "episodes",
+            "agent", "backend", "batch_size", "benchmark", "cpu_count", "days", "episodes",
             "mean_steps_per_second", "per_episode_steps_per_second", "scenario",
             "steps_per_episode",
         },
