@@ -29,7 +29,8 @@ import sys
 #: the inference network's exactness and buffer contract lives in repro.nn;
 #: the scalar plant's bit-exactness contract lives in repro.buildings; the
 #: fault layer's tier order and emission index, and the exactness of the
-#: columnar setpoint clip and lookup, live in repro.env).
+#: columnar setpoint clip and lookup, live in repro.env; the weather trace's
+#: draw order and the solar model's float powers live in repro.weather).
 DEFAULT_SCOPE = [
     "repro.data",
     "repro.serving",
@@ -38,6 +39,7 @@ DEFAULT_SCOPE = [
     "repro.nn",
     "repro.buildings",
     "repro.env",
+    "repro.weather",
 ]
 
 

@@ -22,7 +22,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.buildings.zones import ZoneParameters, zone_operand
+from repro.buildings.zones import ZoneParameters, distinct_rows, zone_operand
 
 
 @dataclass(frozen=True)
@@ -129,19 +129,21 @@ class BatchedHVACPlant:
     """All HVAC units of ``B`` buildings evaluated with one set of array ops.
 
     Built from per-building ``{zone name: HVACUnit}`` maps (typically ``B``
-    identical plants).  Every array op mirrors :meth:`HVACUnit.evaluate`
-    element-wise, so each ``(building, zone)`` cell is bit-identical to the
-    scalar unit's result.
+    identical plants).  A map object that repeats over rows (a tiled batch)
+    is read once and its row gathered.  Every array op mirrors
+    :meth:`HVACUnit.evaluate` element-wise, so each ``(building, zone)`` cell
+    is bit-identical to the scalar unit's result.
     """
 
     def __init__(self, unit_maps: Sequence[Dict[str, HVACUnit]], zone_names: Sequence[str]):
         if not unit_maps:
             raise ValueError("At least one building's HVAC units are required")
         self.zone_names = list(zone_names)
-        units = [[unit_map[name] for name in self.zone_names] for unit_map in unit_maps]
+        distinct, rows = distinct_rows(unit_maps)
+        units = [[unit_map[name] for name in self.zone_names] for unit_map in distinct]
 
         def stack(attr) -> np.ndarray:
-            return np.array([[attr(u) for u in row] for row in units], dtype=float)
+            return np.array([[attr(u) for u in row] for row in units], dtype=float)[rows]
 
         self.heating_cop = stack(lambda u: u.heating_cop)
         self.cooling_cop = stack(lambda u: u.cooling_cop)

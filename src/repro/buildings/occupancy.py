@@ -9,7 +9,7 @@ stochastic absenteeism, at the simulation timestep resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,11 +28,12 @@ class OccupancySchedule:
     peak_occupants:
         Occupant count at full occupancy.
     working_days:
-        Days of the week (0=Monday) that are occupied.
+        Days of the week (0=Monday) that are occupied; each must be in 0-6.
     lunch_dip_fraction:
         Fractional reduction of occupancy around lunch time.
     absentee_std_fraction:
-        Standard deviation of multiplicative day-to-day occupancy noise.
+        Standard deviation (non-negative) of the multiplicative occupancy
+        noise, drawn independently for each occupied step.
     """
 
     occupied_start_hour: float = 8.0
@@ -49,50 +50,47 @@ class OccupancySchedule:
             raise ValueError("peak_occupants must be non-negative")
         if not (0.0 <= self.lunch_dip_fraction < 1.0):
             raise ValueError("lunch_dip_fraction must be in [0, 1)")
-
-    def is_working_day(self, day_index: int) -> bool:
-        """Whether ``day_index`` (0 = the first Monday) falls on a working day."""
-        return (day_index % 7) in set(self.working_days)
-
-    def is_occupied(self, day_index: int, hour_of_day: float) -> bool:
-        """Whether the building counts as occupied at this time (for the reward)."""
-        if not self.is_working_day(day_index):
-            return False
-        return self.occupied_start_hour <= hour_of_day < self.occupied_end_hour
-
-    def occupant_count(
-        self, day_index: int, hour_of_day: float, rng: Optional[np.random.Generator] = None
-    ) -> float:
-        """Occupant count at a given time (0 when unoccupied)."""
-        if not self.is_occupied(day_index, hour_of_day):
-            return 0.0
-        count = float(self.peak_occupants)
-        # Ramp up during the first hour, ramp down during the last hour.
-        if hour_of_day < self.occupied_start_hour + 1.0:
-            count *= hour_of_day - self.occupied_start_hour
-        elif hour_of_day > self.occupied_end_hour - 1.0:
-            count *= self.occupied_end_hour - hour_of_day
-        # Lunch dip between 12:00 and 13:00.
-        if 12.0 <= hour_of_day < 13.0:
-            count *= 1.0 - self.lunch_dip_fraction
-        if rng is not None and self.absentee_std_fraction > 0:
-            count *= max(0.0, 1.0 + rng.normal(0.0, self.absentee_std_fraction))
-        return float(max(count, 0.0))
+        if self.absentee_std_fraction < 0.0:
+            raise ValueError("absentee_std_fraction must be non-negative")
+        if any(day not in range(7) for day in self.working_days):
+            raise ValueError("working_days must be days of the week in 0-6 (0=Monday)")
 
     def generate_series(
         self, simulation: SimulationConfig, seed: RNGLike = None
     ) -> "OccupancySeries":
-        """Pre-compute occupancy for every timestep of a simulation."""
+        """Pre-compute occupancy for every timestep of a simulation.
+
+        Day 0 is a Monday.  A working day is occupied over
+        ``[occupied_start_hour, occupied_end_hour)``.  The count ramps up over
+        the first hour and down over the last, and dips by
+        ``lunch_dip_fraction`` between 12:00 and 13:00.  With a ``seed``,
+        each occupied step's count is multiplied by
+        ``max(0, 1 + N(0, absentee_std_fraction))``, drawn in one ``normal``
+        call in step order.  A count takes its factors in the per-step order
+        (ramp, lunch dip, absenteeism), so it is the same bits as evaluating
+        that step alone.
+        """
         rng = ensure_rng(seed) if seed is not None else None
-        n = simulation.total_steps
-        counts = np.zeros(n, dtype=np.float64)
-        occupied = np.zeros(n, dtype=bool)
-        for i in range(n):
-            day = i // simulation.steps_per_day
-            hour = (i % simulation.steps_per_day) * simulation.step_hours
-            occupied[i] = self.is_occupied(day, hour)
-            counts[i] = self.occupant_count(day, hour, rng)
-        return OccupancySeries(counts=counts, occupied=occupied, minutes_per_step=simulation.minutes_per_step)
+        steps = np.arange(simulation.total_steps)
+        day = steps // simulation.steps_per_day
+        hour = (steps % simulation.steps_per_day) * simulation.step_hours
+        start, end = self.occupied_start_hour, self.occupied_end_hour
+        occupied = (
+            np.isin(day % 7, list(self.working_days)) & (start <= hour) & (hour < end)
+        )
+        counts = np.where(occupied, float(self.peak_occupants), 0.0)
+        ramp_up = occupied & (hour < start + 1.0)
+        ramp_down = occupied & ~ramp_up & (hour > end - 1.0)
+        counts[ramp_up] *= hour[ramp_up] - start
+        counts[ramp_down] *= end - hour[ramp_down]
+        lunch = occupied & (12.0 <= hour) & (hour < 13.0)
+        counts[lunch] *= 1.0 - self.lunch_dip_fraction
+        if rng is not None and self.absentee_std_fraction > 0:
+            absentee = rng.normal(0.0, self.absentee_std_fraction, size=int(occupied.sum()))
+            counts[occupied] *= np.maximum(0.0, 1.0 + absentee)
+        return OccupancySeries(
+            counts=counts, occupied=occupied, minutes_per_step=simulation.minutes_per_step
+        )
 
 
 @dataclass

@@ -10,9 +10,11 @@ to its neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -203,3 +205,23 @@ def zone_operand(
     raise ValueError(
         f"{name} must have shape ({shape[0]},) or ({shape[0]}, {shape[1]}), got {array.shape}"
     )
+
+
+def distinct_rows(items: Sequence[T]) -> Tuple[List[T], np.ndarray]:
+    """The distinct objects of ``items`` and each item's index among them.
+
+    Objects are compared by identity and listed in first-seen order, so
+    ``[distinct[i] for i in rows]`` is ``items``.  A tiled batch repeats a few
+    objects over many rows.  Its per-row arrays are built once per distinct
+    object and gathered with ``array[rows]`` (a C-contiguous copy).
+    """
+    slots: Dict[int, int] = {}
+    distinct: List[T] = []
+    rows = np.empty(len(items), dtype=np.intp)
+    for row, item in enumerate(items):
+        slot = slots.get(id(item))
+        if slot is None:
+            slot = slots[id(item)] = len(distinct)
+            distinct.append(item)
+        rows[row] = slot
+    return distinct, rows

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.buildings.hvac import BatchedHVACPlant
 from repro.buildings.thermal import OCCUPANT_GAIN_W
-from repro.buildings.zones import zone_operand
+from repro.buildings.zones import distinct_rows, zone_operand
 from repro.data import ActionBatch, InfoBatch, ObservationBatch
 from repro.env.disturbances import FaultLayer
 from repro.env.hvac_env import HVACEnvironment
@@ -82,7 +82,11 @@ class BatchedHVACEnvironment:
         first = self.environments[0]
         self.num_steps = first.num_steps
         self.step_duration_seconds = first.step_duration_seconds
-        self._validate_batch(first)
+        # A tiled batch (a fleet group) repeats a few environment objects over
+        # many rows: each per-episode array is built once per distinct object
+        # and gathered to the rows with one take.
+        distinct, rows = distinct_rows(self.environments)
+        self._validate_batch(first, distinct)
 
         buildings = [env.building for env in self.environments]
         self.network = buildings[0].network
@@ -100,32 +104,28 @@ class BatchedHVACEnvironment:
         self._area_share = np.array([z.floor_area_m2 / total_area for z in zones])
 
         # Per-episode disturbance/occupancy traces, stacked once up front.
-        self._disturbances = np.stack([_stacked_disturbances(e) for e in self.environments])
+        self._disturbances = np.stack([_stacked_disturbances(e) for e in distinct])[rows]
         self._occupied = np.stack(
-            [np.asarray(e.occupancy.occupied, dtype=bool) for e in self.environments]
-        )
+            [np.asarray(e.occupancy.occupied, dtype=bool) for e in distinct]
+        )[rows]
         self._hours = np.stack(
-            [np.asarray(e.weather.hour_of_day, dtype=float) for e in self.environments]
-        )
+            [np.asarray(e.weather.hour_of_day, dtype=float) for e in distinct]
+        )[rows]
         self._initial_temperature = np.array(
-            [e.initial_zone_temperature for e in self.environments]
-        )
+            [e.initial_zone_temperature for e in distinct]
+        )[rows]
 
         # Per-episode reward/action parameters (identical under one scenario,
         # but cheap to keep per-row).
-        self._comfort_lower = np.array(
-            [e.config.reward.comfort.lower for e in self.environments]
-        )
-        self._comfort_upper = np.array(
-            [e.config.reward.comfort.upper for e in self.environments]
-        )
+        self._comfort_lower = np.array([e.config.reward.comfort.lower for e in distinct])[rows]
+        self._comfort_upper = np.array([e.config.reward.comfort.upper for e in distinct])[rows]
         self._w_occupied = np.array(
-            [e.config.reward.weight_energy_occupied for e in self.environments]
-        )
+            [e.config.reward.weight_energy_occupied for e in distinct]
+        )[rows]
         self._w_unoccupied = np.array(
-            [e.config.reward.weight_energy_unoccupied for e in self.environments]
-        )
-        off = np.array([e.config.actions.off_setpoints() for e in self.environments], dtype=float)
+            [e.config.reward.weight_energy_unoccupied for e in distinct]
+        )[rows]
+        off = np.array([e.config.actions.off_setpoints() for e in distinct], dtype=float)[rows]
         self._off_heating = off[:, 0]
         self._off_cooling = off[:, 1]
         self._pairs = np.array(first.action_space.pairs, dtype=float)
@@ -141,7 +141,11 @@ class BatchedHVACEnvironment:
         )
 
     # ------------------------------------------------------------- validation
-    def _validate_batch(self, first: HVACEnvironment) -> None:
+    def _validate_batch(
+        self, first: HVACEnvironment, distinct: Sequence[HVACEnvironment]
+    ) -> None:
+        # Checking each distinct object once is complete: a repeated object
+        # cannot fail where its first occurrence passed.
         reference = first.building.network
 
         def gain_parameters(building) -> list:
@@ -156,7 +160,7 @@ class BatchedHVACEnvironment:
                 for z in building.zones
             ]
 
-        for env in self.environments:
+        for env in distinct:
             if env.num_steps != self.num_steps:
                 raise ValueError("All episodes in a batch must have the same length")
             if env.step_duration_seconds != self.step_duration_seconds:

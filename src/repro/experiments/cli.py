@@ -697,9 +697,13 @@ def _bench_rollout(args: argparse.Namespace) -> Dict:
 
     The timed wall is the runner's own episode timing (the rollout loops,
     without environment or agent construction).  Each per-episode figure
-    pools that episode's repeats.
+    pools that episode's repeats.  Each ``runner.run`` call is also timed
+    whole: ``setup_seconds_per_episode`` is that wall minus the rollout
+    loops', over the episodes run (building each episode's environment,
+    traces included, and agent).
     """
     import os
+    import time
 
     from repro.agents.registry import canonical_name
 
@@ -707,8 +711,13 @@ def _bench_rollout(args: argparse.Namespace) -> Dict:
     agent = _resolve(canonical_name, args.agent)
     episode_steps = [0] * args.episodes
     episode_wall = [0.0] * args.episodes
+    run_wall = 0.0
+    episodes_run = 0
     while sum(episode_wall) < _ROLLOUT_BENCH_MIN_SECONDS:
+        start = time.perf_counter()
         result = runner.run(agent)
+        run_wall += time.perf_counter() - start
+        episodes_run += result.num_episodes
         for i, episode in enumerate(result.episodes):
             episode_steps[i] += episode.steps
             episode_wall[i] += episode.wall_seconds
@@ -722,6 +731,7 @@ def _bench_rollout(args: argparse.Namespace) -> Dict:
         "batch_size": args.batch_size,
         "steps_per_episode": result.total_steps // max(result.num_episodes, 1),
         "mean_steps_per_second": sum(episode_steps) / sum(episode_wall),
+        "setup_seconds_per_episode": (run_wall - sum(episode_wall)) / episodes_run,
         "cpu_count": os.cpu_count(),
         # Per-episode timings are redundant for the batched backend (the
         # batch shares one wall clock, so every episode reports the same

@@ -66,10 +66,12 @@ class ClimateProfile:
     # --------------------------------------------------------------- january
     @property
     def january_mean_c(self) -> float:
+        """Mean January drybulb temperature: the midpoint of its daily min and max."""
         return 0.5 * (self.january_tmin_c + self.january_tmax_c)
 
     @property
     def diurnal_amplitude_c(self) -> float:
+        """Half the mean January diurnal range (daily max minus min)."""
         return 0.5 * (self.january_tmax_c - self.january_tmin_c)
 
     # ---------------------------------------------------------------- annual

@@ -62,6 +62,7 @@ class WeatherSeries:
 
     @property
     def num_steps(self) -> int:
+        """Number of time steps in the trace (``len(self)``)."""
         return len(self)
 
     def disturbance_at(self, step: int) -> Dict[str, float]:
@@ -110,10 +111,19 @@ class WeatherGenerator:
         self.simulation = simulation or SimulationConfig()
 
     def generate(self, seed: RNGLike = None, days: Optional[int] = None) -> WeatherSeries:
-        """Generate a weather trace of ``days`` days (default: simulation config)."""
-        rng = ensure_rng(seed)
+        """Generate a weather trace of ``days`` days (default: simulation config).
+
+        Raises ``ValueError`` when ``days`` is not positive.  The generator's
+        draws come in a fixed order: the day-to-day anomaly innovations, the
+        temperature noise, the first cloud cover, the cloud innovations, the
+        humidity noise and the wind noise.  Each stream is one ``normal``
+        call, which yields the same values as one scalar call per element.
+        """
         sim = self.simulation
         n_days = int(days) if days is not None else sim.days
+        if n_days <= 0:
+            raise ValueError("days must be positive")
+        rng = ensure_rng(seed)
         steps_per_day = sim.steps_per_day
         n = n_days * steps_per_day
         step_hours = sim.step_hours
@@ -124,11 +134,12 @@ class WeatherGenerator:
 
         # Day-to-day temperature anomaly: AR(1) process across days, then
         # held piecewise-constant (with linear interpolation) within each day.
-        anomaly_days = np.zeros(n_days + 1)
         phi = 0.7
         innovation_std = climate.temperature_day_to_day_std_c * np.sqrt(1.0 - phi**2)
-        for d in range(1, n_days + 1):
-            anomaly_days[d] = phi * anomaly_days[d - 1] + rng.normal(0.0, innovation_std)
+        anomaly_days = [0.0]
+        for innovation in rng.normal(0.0, innovation_std, size=n_days).tolist():
+            anomaly_days.append(phi * anomaly_days[-1] + innovation)
+        anomaly_days = np.array(anomaly_days)
         day_frac = (np.arange(n) % steps_per_day) / steps_per_day
         day_idx = np.arange(n) // steps_per_day
         anomaly = (1.0 - day_frac) * anomaly_days[day_idx] + day_frac * anomaly_days[day_idx + 1]
@@ -144,22 +155,22 @@ class WeatherGenerator:
         outdoor_temperature = climate.monthly_mean_c(month) + diurnal + anomaly + short_noise
 
         # Cloud cover episodes: AR(1) at the timestep level, clipped to [0, 1].
-        cloud = np.empty(n)
-        cloud[0] = np.clip(rng.normal(climate.mean_cloud_cover, climate.cloud_cover_std), 0.0, 1.0)
+        # The recursion runs on floats, and each conditional clip returns what
+        # np.clip(level, 0.0, 1.0) would, bit for bit (a -0.0 stays -0.0).
+        mean_cloud = climate.mean_cloud_cover
+        level = rng.normal(mean_cloud, climate.cloud_cover_std)
+        level = 0.0 if level < 0.0 else 1.0 if level > 1.0 else level
+        cloud = [level]
         rho = 0.98
         cloud_innov_std = climate.cloud_cover_std * np.sqrt(1.0 - rho**2)
-        for i in range(1, n):
-            drift = rho * (cloud[i - 1] - climate.mean_cloud_cover)
-            cloud[i] = np.clip(
-                climate.mean_cloud_cover + drift + rng.normal(0.0, cloud_innov_std), 0.0, 1.0
-            )
+        for innovation in rng.normal(0.0, cloud_innov_std, size=n - 1).tolist():
+            level = (mean_cloud + rho * (level - mean_cloud)) + innovation
+            level = 0.0 if level < 0.0 else 1.0 if level > 1.0 else level
+            cloud.append(level)
+        cloud = np.array(cloud)
 
-        clear_sky = np.array(
-            [
-                clear_sky_radiation(climate.latitude_deg, float(d), float(h))
-                for d, h in zip(day_of_year, hour_of_day)
-            ]
-        )
+        day_of_year = day_of_year.astype(float)
+        clear_sky = clear_sky_radiation(climate.latitude_deg, day_of_year, hour_of_day)
         solar_radiation = clear_sky * (1.0 - 0.75 * cloud)
 
         # Relative humidity: climate mean, higher when cloudy and at night,
@@ -186,7 +197,7 @@ class WeatherGenerator:
             wind_speed=wind_speed,
             solar_radiation=solar_radiation,
             hour_of_day=hour_of_day,
-            day_of_year=day_of_year.astype(float),
+            day_of_year=day_of_year,
         )
 
     @staticmethod

@@ -7,6 +7,9 @@ every layer — thermal network, HVAC plant, environment, RS planner,
 Monte-Carlo distillation and the runner backends.
 """
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -420,8 +423,6 @@ def test_batched_environment_rejects_mismatched_episodes():
 
 
 def test_batched_environment_rejects_mismatched_gain_parameters():
-    import dataclasses
-
     spec = get_scenario("pittsburgh/winter", days=1)
     reference = spec.build_environment(seed=0)
     modified = spec.build_environment(seed=1)
@@ -429,6 +430,78 @@ def test_batched_environment_rejects_mismatched_gain_parameters():
     zones[0] = dataclasses.replace(zones[0], equipment_gain_w=zones[0].equipment_gain_w + 1.0)
     with pytest.raises(ValueError, match="gain parameters"):
         BatchedHVACEnvironment([reference, modified])
+
+
+#: Every per-episode array a batched env and its plant build at construction.
+BATCH_ARRAYS = (
+    "_disturbances", "_occupied", "_hours", "_initial_temperature", "_comfort_lower",
+    "_comfort_upper", "_w_occupied", "_w_unoccupied", "_off_heating", "_off_cooling",
+)
+PLANT_ARRAYS = (
+    "heating_cop", "cooling_cop", "gain_w_per_k", "deadband_k", "parasitic_power_w",
+    "max_heating_power_w", "max_cooling_power_w",
+)
+
+
+def assert_same_layout(actual, expected):
+    """Same bits, and the same strides and C order."""
+    assert_same_bits(actual, expected)
+    assert actual.strides == expected.strides
+    assert actual.flags.c_contiguous == expected.flags.c_contiguous
+
+
+@pytest.mark.parametrize("disturbance", ["clean", "rough_day"])
+def test_tiled_batch_matches_a_batch_of_deep_copies(disturbance):
+    """k environment objects tiled over B rows build and step like B distinct copies."""
+    spec = get_scenario(f"pittsburgh/winter/office/{disturbance}", days=1)
+    cells = [spec.build_environment(seed=s) for s in range(3)]
+    rows = [cells[b % len(cells)] for b in range(10)]
+    tiled = BatchedHVACEnvironment(rows)
+    copied = BatchedHVACEnvironment([copy.deepcopy(env) for env in rows])
+    assert tiled.batch_size == 10
+    assert all(a is b for a, b in zip(tiled.environments, rows))
+    for name in BATCH_ARRAYS:
+        assert_same_layout(getattr(tiled, name), getattr(copied, name))
+    for name in PLANT_ARRAYS:
+        assert_same_layout(getattr(tiled.plant, name), getattr(copied.plant, name))
+
+    tiled_obs, tiled_info = tiled.reset()
+    copied_obs, copied_info = copied.reset()
+    assert_same_bits(np.asarray(tiled_obs), np.asarray(copied_obs))
+    rng = np.random.default_rng(9)
+    for _ in range(tiled.num_steps):
+        actions = rng.integers(0, len(tiled._pairs), size=tiled.batch_size)
+        tiled_step, copied_step = tiled.step(actions), copied.step(actions)
+        assert_same_bits(np.asarray(tiled_step.observations), np.asarray(copied_step.observations))
+        assert_same_bits(tiled_step.rewards, copied_step.rewards)
+        assert tiled_step.info.keys() == copied_step.info.keys()
+        for key in tiled_step.info.keys():
+            assert_same_bits(tiled_step.info[key], copied_step.info[key])
+
+
+@pytest.mark.parametrize(
+    "mismatch, message",
+    [("length", "same length"), ("gain", "gain parameters"), ("capacitance", "capacitance")],
+)
+def test_tiled_batch_rejects_a_mismatch_after_repeated_rows(mismatch, message):
+    spec = get_scenario("pittsburgh/winter", days=1)
+    cells = [spec.build_environment(seed=s) for s in range(2)]
+    if mismatch == "length":
+        odd = get_scenario("pittsburgh/winter", days=2).build_environment(seed=0)
+    else:
+        odd = spec.build_environment(seed=5)
+        if mismatch == "gain":
+            zones = odd.building.zones
+            gain = zones[0].equipment_gain_w + 1.0
+            zones[0] = dataclasses.replace(zones[0], equipment_gain_w=gain)
+        else:
+            odd.building.network._capacitance = odd.building.network._capacitance * 2.0
+    rows = [cells[b % len(cells)] for b in range(6)] + [odd, cells[0]]
+    with pytest.raises(ValueError, match=message) as tiled_error:
+        BatchedHVACEnvironment(rows)
+    with pytest.raises(ValueError) as pair_error:
+        BatchedHVACEnvironment([cells[0], odd])
+    assert str(tiled_error.value) == str(pair_error.value)
 
 
 # ------------------------------------------------------------------- planner

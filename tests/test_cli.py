@@ -164,7 +164,7 @@ BENCH_SMOKE = {
         {
             "agent", "backend", "batch_size", "benchmark", "cpu_count", "days", "episodes",
             "mean_steps_per_second", "per_episode_steps_per_second", "scenario",
-            "steps_per_episode",
+            "setup_seconds_per_episode", "steps_per_episode",
         },
         {},
     ),
